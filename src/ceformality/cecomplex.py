@@ -7,7 +7,9 @@ from __future__ import annotations
 from collections import Counter
 
 from .dgla import CochainComplex, cohomology
-from .graded import EXTERIOR, GradedMap, GradedVectorSpace, PowerBasis, koszul_sign
+from .graded import (
+    EXTERIOR, GradedMap, GradedVectorSpace, PowerBasis, koszul_sign, parity_sign,
+)
 from .linalg import (
     Q0, Q1, Subspace, is_zero_mat, mat_add, mat_mul, vec_add, vec_scale,
     zero_vec, zeros,
@@ -88,7 +90,7 @@ def _delta_bar_on_basis(col, t_pos, m_idx):
                 val[r] = M.differential.matrix[r][m_idx]
         sign_exp = phi_deg
         for i in range(p):
-            outer = -((-1) ** sign_exp)
+            outer = -parity_sign(sign_exp)
             for j in range(L.space.dim):
                 c = L.differential.matrix[j][s[i]]
                 if c:
@@ -127,7 +129,7 @@ def _delta_on_basis(src, dst, t_pos, m_idx):
     p1 = dst.p
     t = src.pb.elements[t_pos]
     phi_deg = src.space.degrees[src.index(t_pos, m_idx)]
-    lead = (-1) ** (phi_deg + src.p)
+    lead = parity_sign(phi_deg + src.p)
     out = zero_vec(dst.space.dim)
 
     def eval_on(args):

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .graded import EXTERIOR, GradedMap, GradedVectorSpace, PowerBasis, PowerMap
+from .graded import (
+    EXTERIOR, GradedMap, GradedVectorSpace, PowerBasis, PowerMap, parity_sign,
+)
 from .linalg import (
     Q0, Q1, Subspace, is_zero_mat, is_zero_vec, mat_mul, mat_vec, solve,
     vec_add, vec_scale, vec_sub, zero_vec, zeros,
@@ -118,7 +120,7 @@ def validate_dgla(cand):
             ej = [Q1 if k == j else Q0 for k in range(v.dim)]
             rhs = vec_add(
                 cand.bracket_vec(d.apply(ei), ej),
-                vec_scale((-1) ** v.degrees[i], cand.bracket_vec(ei, d.apply(ej))),
+                vec_scale(parity_sign(v.degrees[i]), cand.bracket_vec(ei, d.apply(ej))),
             )
             if lhs != rhs:
                 leib_ok, leib_wit = False, (v.labels[i], v.labels[j])
@@ -142,7 +144,7 @@ def validate_dgla(cand):
                     ((ek, dk), (ei, di), (ej, dj)),
                 ):
                     term = cand.bracket_vec(cand.bracket_vec(a, b), c)
-                    total = vec_add(total, vec_scale((-1) ** (da * dc), term))
+                    total = vec_add(total, vec_scale(parity_sign(da * dc), term))
                 if not is_zero_vec(total):
                     jac_ok, jac_wit = False, (v.labels[i], v.labels[j], v.labels[k])
                     break
@@ -248,7 +250,7 @@ def validate_module(mod):
             lhs = M.differential.apply(M.act(mi, xj))
             rhs = vec_add(
                 M.act(M.differential.apply(mi), xj),
-                vec_scale((-1) ** M.space.degrees[i],
+                vec_scale(parity_sign(M.space.degrees[i]),
                           M.act(mi, L.differential.apply(xj))),
             )
             if lhs != rhs:
@@ -271,7 +273,7 @@ def validate_module(mod):
                 rhs = vec_sub(
                     M.act(M.act(mi, xj), yk),
                     vec_scale(
-                        (-1) ** (L.space.degrees[j] * L.space.degrees[k]),
+                        parity_sign(L.space.degrees[j] * L.space.degrees[k]),
                         M.act(M.act(mi, yk), xj)),
                 )
                 if lhs != rhs:

@@ -8,6 +8,11 @@ from itertools import combinations_with_replacement
 from .linalg import Q0, Q1, is_zero_mat, mat_mul, mat_vec, zeros
 
 
+def parity_sign(e):
+    """(-1)^e as an int, for any integer e (negative included)."""
+    return -1 if e & 1 else 1
+
+
 def koszul_sign(degrees, permutation, antisymmetric=False):
     """Sign picked up when reordering graded factors by a permutation.
 
@@ -24,7 +29,8 @@ def koszul_sign(degrees, permutation, antisymmetric=False):
     for i in range(n):
         for j in range(i + 1, n):
             if perm[i] > perm[j]:
-                sign *= (-1) ** (degrees[perm[i]] * degrees[perm[j]])
+                if (degrees[perm[i]] * degrees[perm[j]]) & 1:
+                    sign = -sign
                 if antisymmetric:
                     sign = -sign
     return sign
@@ -42,7 +48,8 @@ def sort_sign(items, degrees, antisymmetric=False):
         j = i
         while j > 0 and seq[j - 1][0] > seq[j][0]:
             da, db = seq[j - 1][1], seq[j][1]
-            sign *= (-1) ** (da * db)
+            if (da * db) & 1:
+                sign = -sign
             if antisymmetric:
                 sign = -sign
             seq[j - 1], seq[j] = seq[j], seq[j - 1]

@@ -12,7 +12,7 @@ from .cecomplex import FilteredTotalComplex
 from .dgla import DgLieAlgebra
 from .graded import (
     EXTERIOR, SYMMETRIC, GradedMap, GradedVectorSpace, PowerBasis, PowerMap,
-    koszul_sign,
+    koszul_sign, parity_sign,
 )
 from .linalg import (
     Q0, Q1, is_zero_mat, is_zero_vec, mat_mul, zero_vec, zeros,
@@ -88,7 +88,7 @@ def nr_bracket(f, g, ctx=None):
     lift_f = coder_lift_block(f, ctx, arity)
     a = mat_mul(f.matrix, lift_g)
     b = mat_mul(g.matrix, lift_f)
-    sign = (-1) ** (f.degree * g.degree)
+    sign = parity_sign(f.degree * g.degree)
     m = [[x - sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
     return PowerMap(ctx.pb[arity], space, f.degree + g.degree, m)
 
@@ -180,7 +180,7 @@ def decalage(alg_l, bound):
     m = zeros(v.dim, len(pb2))
     for c, (i, j) in enumerate(pb2.elements):
         val = alg_l.bracket_basis(i, j)
-        sgn = -((-1) ** v.degrees[i])
+        sgn = -parity_sign(v.degrees[i])
         for r in range(v.dim):
             m[r][c] = sgn * val[r]
     taylor[2] = PowerMap(pb2, v, 1, m)
@@ -201,7 +201,7 @@ def undecalage(alg_v):
     for c, (i, j) in enumerate(pb.elements):
         # [su, sv] = −(−1)^{ū} s q₂(u, v)
         val = q2.eval_tuple((i, j))
-        sgn = -((-1) ** alg_v.space.degrees[i])
+        sgn = -parity_sign(alg_v.space.degrees[i])
         for r in range(lspace.dim):
             m[r][c] = sgn * val[r]
     bracket = PowerMap(pb, lspace, 0, m)
@@ -544,7 +544,7 @@ class LinfCeComplex:
             if qk is not None:
                 block = coder_lift_block(qk, src.ctx, j)
                 contrib = mat_mul(alpha, block)
-                s = -((-1) ** adeg)
+                s = -parity_sign(adeg)
                 val = [[a + s * b for a, b in zip(ra, rb)]
                        for ra, rb in zip(val, contrib)]
             col = self.columns[j]
@@ -610,9 +610,9 @@ def decalage_conjugation(alg_l, l, bound=None):
         m = zeros(coll.space.dim, len(colv["pairs"]))
         for cidx, (t_pos, w_idx, _deg) in enumerate(colv["pairs"]):
             t = v_alg.ctx.pb[p].elements[t_pos]
-            sgn = (-1) ** p
+            sgn = parity_sign(p)
             for i, vi in enumerate(t):
-                sgn *= (-1) ** ((p - 1 - i) * v.degrees[vi])
+                sgn *= parity_sign((p - 1 - i) * v.degrees[vi])
             # same index tuples name the wedge basis of L
             l_t_pos = coll.pb.index(t) if p else 0
             m[coll.index(l_t_pos, w_idx)][cidx] = Fraction(sgn)

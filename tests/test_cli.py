@@ -120,11 +120,17 @@ def test_hash_covers_results():
 
 
 def test_rationals_serialized_as_strings(capsys):
-    _, out, _ = run(capsys, "mc-lift", fx("quadcone.json"),
-                    "--format", "json")
-    doc = json.loads(out)
-    flat = json.dumps(doc)
-    assert "Fraction" not in flat
+    def no_float(text):
+        raise AssertionError(f"JSON float {text}")
+
+    # sl2 sits in degree 0, so its décalage has negative degrees
+    for argv in (("mc-lift", fx("quadcone.json")),
+                 ("minimal-model", fx("sl2.json"))):
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        doc = json.loads(out, parse_float=no_float)
+        assert "Fraction" not in json.dumps(doc)
+    assert doc["taylor"][0]["terms"][0][1] == "2"
 
 
 def test_obstruction_command_reports_cell(capsys):
