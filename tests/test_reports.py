@@ -1,8 +1,11 @@
-"""Every command on every fixture, run in-process as ``--format json``.
+"""Golden reports: every command on every fixture, run in-process as
+``--format json`` and compared byte for byte with ``tests/golden/``.
 
+Each golden file holds the argv, exit code, stdout and stderr of one run.
 Reports embed the input path, so each case runs with the repository root as
 the working directory.  endu runs at reduced bounds: its default
-``ce-pages --columns 5`` takes minutes.
+``ce-pages --columns 5`` takes minutes.  After an intended report change,
+regenerate the files with ``PYTHONPATH=src python tests/test_reports.py``.
 """
 
 import contextlib
@@ -15,6 +18,7 @@ import pytest
 from ceformality.cli import COMMANDS, main
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+GOLDEN = os.path.join(ROOT, "tests", "golden")
 FIXTURE_DIR = os.path.join("tests", "fixtures")
 FIXTURES = sorted(os.listdir(os.path.join(ROOT, FIXTURE_DIR)))
 REDUCED = {
@@ -52,12 +56,31 @@ def run_case(command, fixture):
     return result
 
 
+def golden_path(command, fixture):
+    stem = os.path.splitext(fixture)[0]
+    return os.path.join(GOLDEN, f"{command}__{stem}.json")
+
+
+def serialize(result):
+    return json.dumps(result, indent=1, sort_keys=True,
+                      ensure_ascii=False) + "\n"
+
+
 def _no_floats(text):
     raise AssertionError(f"JSON float {text} in a report")
 
 
 @pytest.mark.parametrize("command,fixture", CASES)
-def test_report_is_exact(command, fixture):
+def test_report_matches_golden(command, fixture):
     res = run_case(command, fixture)
     if res["stdout"]:
         json.loads(res["stdout"], parse_float=_no_floats)
+    with open(golden_path(command, fixture), encoding="utf-8") as fh:
+        assert serialize(res) == fh.read()
+
+
+if __name__ == "__main__":
+    os.makedirs(GOLDEN, exist_ok=True)
+    for command, fixture in CASES:
+        with open(golden_path(command, fixture), "w", encoding="utf-8") as fh:
+            fh.write(serialize(run_case(command, fixture)))
