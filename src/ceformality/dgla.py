@@ -9,8 +9,9 @@ from .graded import (
     EXTERIOR, GradedMap, GradedVectorSpace, PowerBasis, PowerMap, parity_sign,
 )
 from .linalg import (
-    Q0, Q1, Subspace, is_zero_mat, is_zero_vec, mat_mul, mat_vec, solve,
-    vec_add, vec_scale, vec_sub, zero_vec, zeros,
+    Q0, Q1, Subspace, block_kernel, identity, is_zero_mat, is_zero_vec,
+    mat_mul, mat_vec, solve_matrix, transpose, vec_add, vec_scale, vec_sub,
+    zero_vec, zeros,
 )
 
 
@@ -352,24 +353,9 @@ def cohomology(complex_, pivot_order="forward"):
     w_basis = {}
     for k in degs:
         idx = v.indices_in_degree(k)
-        up = v.indices_in_degree(k + 1)
-        sub = [[dmat[r][c] for c in idx] for r in up] or [[Q0] * len(idx)]
-        ker_local = [vec for vec in _nullspace(sub)]
-        z_vecs = []
-        for vec in ker_local:
-            full = zero_vec(v.dim)
-            for pos, c in zip(idx, vec):
-                full[pos] = c
-            z_vecs.append(full)
-        kernel[k] = Subspace(v.dim, z_vecs)
-        span = Subspace(v.dim, z_vecs)
-        ws = []
-        for i in order(idx):
-            e = unit(i)
-            if not span.contains(e):
-                ws.append(e)
-                span = span.sum(Subspace(v.dim, [e]))
-        w_basis[k] = ws
+        kernel[k] = block_kernel(dmat, v.indices_in_degree(k + 1), idx, v.dim)
+        span = Subspace(v.dim, kernel[k].basis)
+        w_basis[k] = [e for e in map(unit, order(idx)) if span.extend(e)]
 
     # image basis paired with preimages, cohomology representatives
     b_basis = {k: [] for k in degs + [max(degs) + 1]}
@@ -382,12 +368,7 @@ def cohomology(complex_, pivot_order="forward"):
     h_reps = {}
     for k in degs:
         span = Subspace(v.dim, b_basis.get(k, []))
-        reps = []
-        for zvec in order(kernel[k].basis):
-            if not span.contains(zvec):
-                reps.append(list(zvec))
-                span = span.sum(Subspace(v.dim, [zvec]))
-        h_reps[k] = reps
+        h_reps[k] = [z for z in order(kernel[k].basis) if span.extend(z)]
 
     hcomps = {k: [f"h{k}_{t}" for t in range(len(h_reps[k]))]
               for k in degs if h_reps[k]}
@@ -395,12 +376,10 @@ def cohomology(complex_, pivot_order="forward"):
 
     i_mat = zeros(v.dim, hspace.dim)
     col = 0
-    rep_by_col = []
     for k in sorted(hcomps):
         for rep in h_reps[k]:
             for r in range(v.dim):
                 i_mat[r][col] = rep[r]
-            rep_by_col.append((k, rep))
             col += 1
 
     # decompose each degree-k unit vector in the basis B ∪ H ∪ W
@@ -410,19 +389,21 @@ def cohomology(complex_, pivot_order="forward"):
         cols = b_basis.get(k, []) + h_reps[k] + w_basis[k]
         if not cols:
             continue
-        pmat = [[cols[c][r] for c in range(len(cols))] for r in range(v.dim)]
+        idx = v.indices_in_degree(k)
+        coords = solve_matrix(transpose(cols),
+                              transpose([unit(i) for i in idx]))
         nb, nh = len(b_basis.get(k, [])), len(h_reps[k])
         hoffset = hspace.dim and _h_offset(hspace, k)
-        for i in v.indices_in_degree(k):
-            coords = solve(pmat, unit(i))
+        for j, i in enumerate(idx):
             # projection reads off the H-block coordinates
             for t in range(nh):
-                p_mat[hoffset + t][i] = coords[nb + t]
+                p_mat[hoffset + t][i] = coords[nb + t][j]
             # homotopy inverts d on the B-block, with a sign
             hv = zero_vec(v.dim)
             for t in range(nb):
-                if coords[t]:
-                    hv = vec_add(hv, vec_scale(-coords[t], b_preimage[k][t]))
+                if coords[t][j]:
+                    hv = vec_add(hv, vec_scale(-coords[t][j],
+                                               b_preimage[k][t]))
             for r in range(v.dim):
                 h_mat[r][i] = hv[r]
 
@@ -437,11 +418,6 @@ def _h_offset(hspace, k):
         if d == k:
             return i
     return 0
-
-
-def _nullspace(a):
-    from .linalg import nullspace
-    return nullspace(a)
 
 
 def cohomology_lie(alg, pivot_order="forward"):

@@ -7,6 +7,7 @@ so every derived basis and representative is reproducible across runs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
 Q0 = Fraction(0)
@@ -47,10 +48,6 @@ def transpose(a):
 
 def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(c, a):
-    return [[c * x for x in row] for row in a]
 
 
 def mat_mul(a, b):
@@ -150,37 +147,30 @@ def rank(a):
 
 
 def solve(a, b):
-    """One exact solution of A x = b, or None if inconsistent.
-
-    Free variables are set to zero (the echelon-least solution for the fixed
-    pivot rule).
-    """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if len(b) != rows:
-        raise ValueError("dimension mismatch in solve")
-    aug = [row[:] + [b[i]] for i, row in enumerate(a)]
-    r, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = zero_vec(cols)
-    for i, c in enumerate(pivots):
-        x[c] = r[i][cols]
-    return x
+    """One exact solution of A x = b, or None if inconsistent: the
+    one-column case of ``solve_matrix``."""
+    x = solve_matrix(a, [[y] for y in b])
+    return None if x is None else [row[0] for row in x]
 
 
 def solve_matrix(a, y):
-    """Solve A X = Y column by column; None if any column is inconsistent."""
-    yt = transpose(y)
-    cols = []
-    for col in yt:
-        x = solve(a, col)
-        if x is None:
-            return None
-        cols.append(x)
-    if not cols:
-        return zeros(len(a[0]) if a else 0, 0)
-    return transpose(cols)
+    """Solve A X = Y with one elimination of [A | Y]; None if any column of
+    Y is inconsistent.
+
+    Free variables are set to zero (the echelon-least solution for the fixed
+    pivot rule), so each column equals ``solve(a, column)``.
+    """
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    if len(y) != rows:
+        raise ValueError("dimension mismatch in solve")
+    r, pivots = rref([ra + ry for ra, ry in zip(a, y)])
+    if pivots and pivots[-1] >= cols:
+        return None
+    x = zeros(cols, len(y[0]) if y else 0)
+    for i, c in enumerate(pivots):
+        x[c] = r[i][cols:]
+    return x
 
 
 def solve_right(a, y):
@@ -207,6 +197,19 @@ def nullspace(a):
             v[pc] = -r[i][c]
         basis.append(v)
     return basis
+
+
+def block_kernel(a, rows, cols, ambient):
+    """Kernel of the block of ``a`` on ``rows`` × ``cols`` as a subspace of
+    Q^ambient, its vectors scattered back to the positions ``cols``."""
+    block = [[a[r][c] for c in cols] for r in rows] or [[Q0] * len(cols)]
+    vecs = []
+    for ker in nullspace(block):
+        full = zero_vec(ambient)
+        for pos, x in zip(cols, ker):
+            full[pos] = x
+        vecs.append(full)
+    return Subspace(ambient, vecs)
 
 
 class Subspace:
@@ -242,6 +245,26 @@ class Subspace:
     def contains(self, v):
         return is_zero_vec(self.reduce(v))
 
+    def extend(self, v):
+        """Insert v into the reduced echelon basis in place; True when the
+        span grew.  The basis then equals that of
+        ``Subspace(ambient, old basis + [v])``."""
+        w = self.reduce(v)
+        c = next((j for j, x in enumerate(w) if x != 0), None)
+        if c is None:
+            return False
+        pv = w[c]
+        if pv != 1:
+            w = [x / pv if x else x for x in w]
+        for i, row in enumerate(self.basis):
+            f = row[c]
+            if f != 0:
+                self.basis[i] = [x - f * y for x, y in zip(row, w)]
+        k = bisect_left(self.pivots, c)
+        self.basis.insert(k, w)
+        self.pivots.insert(k, c)
+        return True
+
     def coordinates(self, v):
         """Coefficients of v on the echelon basis, or None if v is outside."""
         w = list(v)
@@ -275,23 +298,30 @@ class Subspace:
 
 
 class Quotient:
-    """Basis data for Z/(Z ∩ B) with a coordinate map on Z."""
+    """Z/B with representatives and a coordinate map on Z.
+
+    Contract: B ⊆ Z, as for every spectral-page cell (B_r ⊆ Z_r).  The
+    representatives are the echelon basis vectors of Z that extend the
+    basis of B, in order; B together with them must span exactly Z, which
+    checks the contract and raises AssertionError when it fails.  The map
+    from coordinates on Z's echelon basis to quotient coordinates is
+    factored once here, so ``coordinates`` eliminates nothing.
+    """
 
     def __init__(self, z: Subspace, b: Subspace):
         if z.ambient != b.ambient:
             raise ValueError("ambient dimensions differ")
         self.z = z
-        self.bz = b.intersect(z)
-        reps = []
-        span = Subspace(z.ambient, self.bz.basis)
-        for v in z.basis:
-            grown = Subspace(z.ambient, span.basis + [v])
-            if grown.dim > span.dim:
-                reps.append(v)
-                span = grown
-        self.reps = reps
-        # columns of the coordinate system: bz basis then representatives
-        self._cols = self.bz.basis + reps
+        span = Subspace(z.ambient, b.basis)
+        self.reps = [v for v in z.basis if span.extend(v)]
+        if span.dim != z.dim:
+            raise AssertionError("quotient by a subspace not inside Z")
+        # On Z's echelon basis a vector of Z has its entries at Z's pivots
+        # as coordinates; invert the square matrix of B's basis and the
+        # representatives there, keeping the representatives' rows.
+        cols = b.basis + self.reps
+        square = [[v[pc] for v in cols] for pc in z.pivots]
+        self._coord_map = solve_matrix(square, identity(z.dim))[b.dim:]
 
     @property
     def dim(self):
@@ -299,14 +329,10 @@ class Quotient:
 
     def coordinates(self, v):
         """Quotient coordinates of v ∈ Z; raises if v lies outside Z."""
-        if not self.z.contains(v):
+        zc = self.z.coordinates(v)
+        if zc is None:
             raise ValueError("vector outside the subspace being quotiented")
-        if not self._cols:
-            return []
-        a = transpose(self._cols)
-        x = solve(a, list(v))
-        assert x is not None
-        return x[len(self.bz.basis):]
+        return mat_vec(self._coord_map, zc)
 
     def is_zero_class(self, v):
         return all(c == 0 for c in self.coordinates(v))

@@ -3,9 +3,8 @@ degeneration checks, abutment comparison, and quotient-filtration comparison."""
 
 from __future__ import annotations
 
-from .dgla import cohomology
 from .linalg import (
-    Q0, Q1, Quotient, Subspace, is_zero_vec, mat_vec, nullspace, rank,
+    Q1, Quotient, Subspace, block_kernel, is_zero_vec, mat_vec, rank,
     zero_vec, zeros,
 )
 
@@ -29,18 +28,10 @@ def cycle_space(ftc, p, n, r):
         cache[key] = Subspace(dim, [])
         return cache[key]
     target_level = p + r
-    d = ftc.differential.matrix
     # d is degree-homogeneous, so only degree n+1 rows can constrain
     rows = [i for i in range(dim) if ftc.levels[i] < target_level
             and ftc.space.degrees[i] == n + 1]
-    constraint = [[d[rr][c] for c in idx] for rr in rows] or [[Q0] * len(idx)]
-    vecs = []
-    for ker in nullspace(constraint):
-        full = zero_vec(dim)
-        for pos, c in zip(idx, ker):
-            full[pos] = c
-        vecs.append(full)
-    cache[key] = Subspace(dim, vecs)
+    cache[key] = block_kernel(ftc.differential.matrix, rows, idx, dim)
     return cache[key]
 
 
@@ -83,7 +74,7 @@ class SpectralPage:
                 if z.dim == 0:
                     continue
                 b = boundary_space(ftc, p, n, r)
-                quot = Quotient(z, b.intersect(z))
+                quot = Quotient(z, b)
                 if quot.dim == 0:
                     continue
                 self.cells[(p, q)] = {"z": z, "b": b, "quot": quot}
@@ -180,17 +171,9 @@ def abutment_check(ftc):
     d = ftc.differential.matrix
     report = {"ok": True, "cells": []}
     for n in ftc.space.degree_support():
-        idx = [i for i in range(dim) if ftc.space.degrees[i] == n]
-        below = [i for i in range(dim) if ftc.space.degrees[i] == n - 1]
-        sub = [[d[r][c] for c in idx]
-               for r in range(dim)] or [[Q0] * len(idx)]
-        zvecs = []
-        for ker in nullspace(sub):
-            full = zero_vec(dim)
-            for pos, c in zip(idx, ker):
-                full[pos] = c
-            zvecs.append(full)
-        z = Subspace(dim, zvecs)
+        below = ftc.space.indices_in_degree(n - 1)
+        z = block_kernel(d, ftc.space.indices_in_degree(n + 1),
+                         ftc.space.indices_in_degree(n), dim)
         bvecs = []
         for i in below:
             e = zero_vec(dim)

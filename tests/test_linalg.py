@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from ceformality.linalg import (
     Quotient, Subspace, frac, identity, mat_mul, mat_vec, nullspace, rank,
-    rref, solve, solve_matrix, solve_right,
+    rref, solve, solve_matrix, solve_right, transpose,
 )
 
 F = Fraction
@@ -124,3 +124,94 @@ def test_solve_round_trip(a, x):
 def test_rank_nullity():
     a = [[F(1), F(2), F(3)], [F(2), F(4), F(6)], [F(0), F(1), F(1)]]
     assert rank(a) + len(nullspace(a)) == 3
+
+
+# -- the echelon kernel against the per-call eliminations it replaced -------
+
+sparse_fracs = st.one_of(st.just(F(0)), st.just(F(0)), small_fracs)
+
+
+def vectors(n, max_size):
+    return st.lists(st.lists(sparse_fracs, min_size=n, max_size=n),
+                    max_size=max_size)
+
+
+def solve_reference(a, b):
+    """Echelon-least solution from its own elimination of [A | b]."""
+    cols = len(a[0]) if a else 0
+    r, pivots = rref([row + [b[i]] for i, row in enumerate(a)])
+    if cols in pivots:
+        return None
+    x = [F(0)] * cols
+    for i, c in enumerate(pivots):
+        x[c] = r[i][cols]
+    return x
+
+
+def quotient_reps_reference(z, b):
+    """Representatives by rebuilding the span for every candidate."""
+    span = Subspace(z.ambient, b.basis)
+    reps = []
+    for v in z.basis:
+        grown = Subspace(z.ambient, span.basis + [v])
+        if grown.dim > span.dim:
+            reps.append(v)
+            span = grown
+    return reps
+
+
+@given(vectors(4, 4), vectors(4, 5))
+def test_extend_equals_rebuild(seed, extra):
+    s = Subspace(4, seed)
+    for v in extra:
+        ref = Subspace(4, s.basis + [v])
+        grew = ref.dim > s.dim
+        assert s.extend(v) == grew
+        assert s.basis == ref.basis and s.pivots == ref.pivots
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.data())
+def test_solve_matrix_equals_columnwise_solve(rows, cols, k, data):
+    a = data.draw(st.lists(st.lists(sparse_fracs, min_size=cols,
+                                    max_size=cols),
+                           min_size=rows, max_size=rows))
+    y = data.draw(st.lists(st.lists(sparse_fracs, min_size=k, max_size=k),
+                           min_size=rows, max_size=rows))
+    want = [solve_reference(a, col) for col in transpose(y)]
+    assert [solve(a, col) for col in transpose(y)] == want
+    got = solve_matrix(a, y)
+    if any(w is None for w in want):
+        assert got is None
+    else:
+        assert got == transpose(want)
+
+
+def test_solve_matrix_inconsistent_column_gives_none():
+    a = [[F(1), F(1)], [F(1), F(1)]]
+    y = [[F(2), F(0)], [F(2), F(1)]]
+    assert solve(a, [F(2), F(2)]) == [F(2), F(0)]
+    assert solve_matrix(a, y) is None
+
+
+@given(vectors(5, 4), st.data())
+def test_quotient_coordinates_equal_a_fresh_solve(zvecs, data):
+    z = Subspace(5, zvecs)
+    pick = st.lists(st.lists(sparse_fracs, min_size=z.dim, max_size=z.dim),
+                    max_size=3)
+    combos = data.draw(pick)
+    b = Subspace(5, [[sum((c * v[i] for c, v in zip(cs, z.basis)), F(0))
+                      for i in range(5)] for cs in combos])
+    q = Quotient(z, b)
+    assert q.reps == quotient_reps_reference(z, b)
+    for cs in data.draw(pick):
+        v = [sum((c * zv[i] for c, zv in zip(cs, z.basis)), F(0))
+             for i in range(5)]
+        x = solve(transpose(b.basis + q.reps), v) if z.dim else []
+        assert q.coordinates(v) == x[b.dim:]
+
+
+def test_quotient_rejects_b_outside_z():
+    z = Subspace(3, [[F(1), F(0), F(0)]])
+    b = Subspace(3, [[F(0), F(1), F(0)]])
+    with pytest.raises(AssertionError):
+        Quotient(z, b)
