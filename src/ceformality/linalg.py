@@ -162,12 +162,14 @@ def solve_matrix(a, y):
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    if len(y) != rows:
+    k = len(y[0]) if y else 0
+    # a Y with no columns may arrive as [] (the transpose of an empty matrix)
+    if k and len(y) != rows:
         raise ValueError("dimension mismatch in solve")
     r, pivots = rref([ra + ry for ra, ry in zip(a, y)])
     if pivots and pivots[-1] >= cols:
         return None
-    x = zeros(cols, len(y[0]) if y else 0)
+    x = zeros(cols, k)
     for i, c in enumerate(pivots):
         x[c] = r[i][cols:]
     return x

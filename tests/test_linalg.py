@@ -215,3 +215,10 @@ def test_quotient_rejects_b_outside_z():
     b = Subspace(3, [[F(0), F(1), F(0)]])
     with pytest.raises(AssertionError):
         Quotient(z, b)
+
+
+def test_solve_with_an_empty_right_hand_side():
+    # an empty Y has lost its row count; X then has no columns (or rows)
+    a = [[F(0), F(-1)], [F(0), F(0)]]
+    assert solve_matrix(a, []) == [[], []]
+    assert solve_right(a, []) == []
