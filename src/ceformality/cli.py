@@ -22,8 +22,7 @@ from .formality import (
 from .linf import (
     ce_linf_self, decalage, derived_brackets, validate_linf,
 )
-from .mc import TruncatedElement, gauge_act, mc_check, mc_lift, \
-    quadraticity_check
+from .mc import TruncatedElement, mc_check, mc_lift, quadraticity_check
 from .problems import ProblemError, format_rational, load_problem
 from .specseq import page, r_max as page_bound
 
@@ -299,8 +298,7 @@ def run(args):
         cert = formality_verdict(alg, args.weight, args.columns)
         if cert["verdict"] == "NotFormal":
             raise ProblemError("quadraticity requires a formal algebra")
-        res = quadraticity_check(alg, problem["samples"], cert,
-                                 order=args.order)
+        res = quadraticity_check(alg, problem["samples"], cert)
         report["quadraticity"] = {
             "all_agree": res["all_agree"],
             "n_checked": res["n_checked"],

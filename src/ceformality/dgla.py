@@ -10,8 +10,8 @@ from .graded import (
 )
 from .linalg import (
     Q0, Q1, Subspace, block_kernel, identity, is_zero_mat, is_zero_vec,
-    mat_mul, mat_vec, solve_matrix, transpose, vec_add, vec_scale, vec_sub,
-    zero_vec, zeros,
+    mat_add, mat_mul, mat_sub, mat_vec, solve_matrix, transpose, vec_add,
+    vec_scale, vec_sub, zero_vec, zeros,
 )
 
 
@@ -88,9 +88,6 @@ class DgLieAlgebra:
 
     def complex(self):
         return CochainComplex(self.space, self.differential, check=False)
-
-    def is_abelian(self):
-        return self.bracket.is_zero()
 
 
 def validate_dgla(cand):
@@ -171,11 +168,6 @@ class DgModule:
         self.space = space
         self.differential = differential
         self.action = action
-
-    def act_basis(self, m_idx, l_idx):
-        """[m_i, e_j] as a vector in M."""
-        col = self.action[l_idx]
-        return [col[r][m_idx] for r in range(self.space.dim)]
 
     def act(self, m_vec, x_vec):
         out = zero_vec(self.space.dim)
@@ -306,18 +298,11 @@ class Contraction:
         d = self.complex.differential.matrix
         i, p, h = self.i.matrix, self.p.matrix, self.h.matrix
         hdim = self.cohomology.dim
-        ident_h = [[Q1 if a == b else Q0 for b in range(hdim)]
-                   for a in range(hdim)]
         ip = mat_mul(i, p) if hdim else zeros(n, n)
-        dh = mat_mul(d, h)
-        hd = mat_mul(h, d)
-        ip_minus_one = [[ip[a][b] - (Q1 if a == b else Q0) for b in range(n)]
-                        for a in range(n)]
-        dh_plus_hd = [[dh[a][b] + hd[a][b] for b in range(n)]
-                      for a in range(n)]
+        dh_plus_hd = mat_add(mat_mul(d, h), mat_mul(h, d))
         checks = {
-            "pi_identity": mat_mul(p, i) == ident_h,
-            "ip_minus_one": ip_minus_one == dh_plus_hd,
+            "pi_identity": mat_mul(p, i) == identity(hdim),
+            "ip_minus_one": mat_sub(ip, identity(n)) == dh_plus_hd,
             "hi_zero": is_zero_mat(mat_mul(h, i)),
             "ph_zero": is_zero_mat(mat_mul(p, h)),
             "hh_zero": is_zero_mat(mat_mul(h, h)),

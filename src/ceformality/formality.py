@@ -5,15 +5,15 @@ the t-deformation class of a minimal structure."""
 
 from __future__ import annotations
 
-from .cecomplex import build_ce, pushforward_matrix
+from .cecomplex import pushforward_matrix
 from .dgla import (
     CochainComplex, DgLieAlgebra, adjoint_module, cohomology, cohomology_lie,
     module_via_morphism, validate_morphism,
 )
 from .graded import GradedMap, PowerMap
 from .linalg import (
-    Q0, Q1, Subspace, is_zero_mat, is_zero_vec, mat_mul, mat_vec, rank,
-    solve, solve_right, vec_sub, zero_vec, zeros,
+    Q0, Q1, is_zero_mat, mat_add, mat_mul, mat_sub, mat_vec, rank, solve,
+    solve_right, vec_sub, zero_vec, zeros,
 )
 from .linf import (
     LInfinityAlgebra, LInfinityMorphism, ce_linf_self, coder_lift_block,
@@ -179,18 +179,13 @@ def minimal_model(alg, bound):
             if rm is None:
                 continue
             block = coder_lift_block(rm, w_alg.ctx, n)
-            contrib = mat_mul(g.f1(n - m_w + 1), block)
-            x_n = [[a - b for a, b in zip(ra, rb)]
-                   for ra, rb in zip(x_n, contrib)]
+            x_n = mat_sub(x_n, mat_mul(g.f1(n - m_w + 1), block))
         # known structure terms through the morphism components
         for k in range(2, n + 1):
             qk = alg.taylor.get(k)
             if qk is None:
                 continue
-            block = _morphism_block(g, k, n)
-            contrib = mat_mul(qk.matrix, block)
-            x_n = [[a + b for a, b in zip(ra, rb)]
-                   for ra, rb in zip(x_n, contrib)]
+            x_n = mat_add(x_n, mat_mul(qk.matrix, _morphism_block(g, k, n)))
         r_n = mat_mul(pmat, x_n)
         g_n = mat_mul(hmat, x_n)
         if not is_zero_mat(r_n):
@@ -206,16 +201,14 @@ def minimal_model(alg, bound):
             if rm is None:
                 continue
             block = coder_lift_block(rm, w_alg.ctx, n)
-            lhs = [[a + b for a, b in zip(ra, rb)] for ra, rb in
-                   zip(lhs, mat_mul(g.f1(n - m_w + 1), block))]
+            lhs = mat_add(lhs, mat_mul(g.f1(n - m_w + 1), block))
         rhs = mat_mul(alg.q(1).matrix, g.f1(n))
         for k in range(2, n + 1):
             qk = alg.taylor.get(k)
             if qk is None:
                 continue
-            rhs = [[a + b for a, b in zip(ra, rb)] for ra, rb in
-                   zip(rhs, mat_mul(qk.matrix, _morphism_block(g, k, n)))]
-        if any(a != b for ra, rb in zip(lhs, rhs) for a, b in zip(ra, rb)):
+            rhs = mat_add(rhs, mat_mul(qk.matrix, _morphism_block(g, k, n)))
+        if lhs != rhs:
             raise AssertionError(
                 f"transfer recursion failed the arity-{n} identity")
     # projection morphism f with f∘g = identity, solved order by order
@@ -231,21 +224,18 @@ def minimal_model(alg, bound):
             rk = w_alg.taylor.get(k)
             if rk is None:
                 continue
-            y_n = [[a + b for a, b in zip(ra, rb)] for ra, rb in
-                   zip(y_n, mat_mul(rk.matrix, _morphism_block(f, k, n)))]
+            y_n = mat_add(y_n, mat_mul(rk.matrix, _morphism_block(f, k, n)))
         for j in range(1, n):
             qk = alg.taylor.get(n - j + 1)
             if qk is None:
                 continue
             block = coder_lift_block(qk, alg.ctx, n)
-            y_n = [[a - b for a, b in zip(ra, rb)] for ra, rb in
-                   zip(y_n, mat_mul(f.f1(j), block))]
+            y_n = mat_sub(y_n, mat_mul(f.f1(j), block))
         # f∘g identity at arity n pins the values on transferred tuples
         z_n = zeros(hspace.dim, len(pb_nw))
         for a in range(1, n):
             block = _morphism_block_from_big(g, gbig, a, n)
-            z_n = [[x - y for x, y in zip(rx, ry)] for rx, ry in
-                   zip(z_n, mat_mul(f.f1(a), block))]
+            z_n = mat_sub(z_n, mat_mul(f.f1(a), block))
         b_n = _morphism_block_from_big(g, gbig, n, n)
         a_cat = [da + ba for da, ba in zip(d_n, b_n)]
         rhs_cat = [ya + za for ya, za in zip(y_n, z_n)]
@@ -270,10 +260,8 @@ def minimal_model(alg, bound):
 
 
 def _morphism_block_from_big(f, big, k, n):
-    sctx, tctx = f.source.ctx, f.target.ctx
-    rows = tctx.weight_indices(k)
-    cols = sctx.weight_indices(n)
-    return [[big[r][c] for c in cols] for r in rows]
+    cols = f.source.ctx.weight_slice(n)
+    return [row[cols] for row in big[f.target.ctx.weight_slice(k)]]
 
 
 def _bracket_with_q2_matrix(alg, arity):
@@ -517,10 +505,6 @@ def kaledin_class(alg, weight, t_order):
                     if alg.space.degrees[w] - tdeg == 0:
                         unknowns.append((s, a, t_pos, w))
     rows = {}
-
-    def row_key(s, arity, t_pos, w):
-        return (s, arity, t_pos, w)
-
     col_data = []
     for s0, a, t_pos, w in unknowns:
         amat = zeros(alg.space.dim, len(alg.ctx.pb[a]))
@@ -536,8 +520,8 @@ def kaledin_class(alg, weight, t_order):
                 for ww in range(alg.space.dim):
                     v = br.matrix[ww][tt]
                     if v:
-                        entries[row_key(s, br.arity, tt, ww)] = \
-                            entries.get(row_key(s, br.arity, tt, ww), Q0) + v
+                        key = (s, br.arity, tt, ww)
+                        entries[key] = entries.get(key, Q0) + v
         col_data.append(entries)
         for k in entries:
             rows.setdefault(k, len(rows))
@@ -550,8 +534,9 @@ def kaledin_class(alg, weight, t_order):
             for ww in range(alg.space.dim):
                 v = co.matrix[ww][tt]
                 if v:
-                    target[row_key(s, co.arity, tt, ww)] = v
-                    rows.setdefault(row_key(s, co.arity, tt, ww), len(rows))
+                    key = (s, co.arity, tt, ww)
+                    target[key] = v
+                    rows.setdefault(key, len(rows))
     nrows = len(rows)
     a_mat = zeros(nrows, len(unknowns))
     for c, entries in enumerate(col_data):

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .linalg import Q0, Q1, is_zero_mat, mat_mul, mat_vec, zeros
+from .linalg import Q0, identity, is_zero_mat, mat_add, mat_mul, mat_vec, zeros
 
 
 def parity_sign(e):
@@ -165,10 +165,7 @@ class GradedMap:
 
     @classmethod
     def identity_map(cls, space):
-        m = zeros(space.dim, space.dim)
-        for i in range(space.dim):
-            m[i][i] = Q1
-        return cls(space, space, 0, m)
+        return cls(space, space, 0, identity(space.dim))
 
     def apply(self, v):
         return mat_vec(self.matrix, v)
@@ -295,8 +292,8 @@ class PowerMap:
     def add(self, other):
         if other.pb is not self.pb and other.pb.elements != self.pb.elements:
             raise ValueError("power basis mismatch")
-        m = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.matrix, other.matrix)]
-        return PowerMap(self.pb, self.target, self.degree, m)
+        return PowerMap(self.pb, self.target, self.degree,
+                        mat_add(self.matrix, other.matrix))
 
     def scale(self, c):
         c = Fraction(c)

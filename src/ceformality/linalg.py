@@ -50,6 +50,10 @@ def mat_add(a, b):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
+def mat_sub(a, b):
+    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
 def mat_mul(a, b):
     if a and b and len(a[0]) != len(b):
         raise ValueError("dimension mismatch in mat_mul")

@@ -15,7 +15,8 @@ from .graded import (
     koszul_sign, parity_sign,
 )
 from .linalg import (
-    Q0, Q1, is_zero_mat, is_zero_vec, mat_mul, zero_vec, zeros,
+    Q1, identity, is_zero_mat, is_zero_vec, mat_add, mat_mul, mat_sub,
+    vec_add, zero_vec, zeros,
 )
 
 
@@ -40,9 +41,12 @@ class SymContext:
     def index(self, n, t_pos):
         return self._index[(n, t_pos)]
 
-    def weight_indices(self, n):
+    def weight_slice(self, n):
+        """Positions of the weight-n block in the flat basis, as a slice:
+        ``[row[ctx.weight_slice(n)] for row in big[other.weight_slice(k)]]``
+        reads a weight n → k block of a matrix on flat bases."""
         start = self._starts[n]
-        return list(range(start, start + len(self.pb[n])))
+        return slice(start, start + len(self.pb[n]))
 
     def tuple_degrees(self, n, t):
         return [self.space.degrees[i] for i in t]
@@ -88,8 +92,7 @@ def nr_bracket(f, g, ctx=None):
     lift_f = coder_lift_block(f, ctx, arity)
     a = mat_mul(f.matrix, lift_g)
     b = mat_mul(g.matrix, lift_f)
-    sign = parity_sign(f.degree * g.degree)
-    m = [[x - sign * y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    m = mat_add(a, b) if (f.degree * g.degree) & 1 else mat_sub(a, b)
     return PowerMap(ctx.pb[arity], space, f.degree + g.degree, m)
 
 
@@ -120,9 +123,6 @@ class LInfinityAlgebra:
     def is_minimal(self):
         return 1 not in self.taylor
 
-    def is_quadratic(self):
-        return all(n == 2 for n in self.taylor)
-
     def is_trivial_beyond_q2(self):
         return all(n <= 2 for n in self.taylor)
 
@@ -132,16 +132,10 @@ class LInfinityAlgebra:
             ctx = self.ctx
             m = zeros(ctx.dim, ctx.dim)
             for n in range(1, ctx.bound + 1):
-                cols = ctx.weight_indices(n)
                 for k, qk in self.taylor.items():
-                    if k > n:
-                        continue
-                    block = coder_lift_block(qk, ctx, n)
-                    rows = ctx.weight_indices(n - k + 1)
-                    for cc, gc in enumerate(cols):
-                        for rr, gr in enumerate(rows):
-                            if block[rr][cc]:
-                                m[gr][gc] += block[rr][cc]
+                    if k <= n:
+                        _add_block(m, ctx, n - k + 1, n,
+                                   coder_lift_block(qk, ctx, n))
             self._qhat = m
         return self._qhat
 
@@ -334,25 +328,15 @@ def validate_linf_morphism(f):
 def compose_morphisms(g, f):
     """g ∘ f, recovering corestriction components from the big matrices."""
     big = mat_mul(g.big_matrix(), f.big_matrix())
-    comps = {}
-    tctx = g.target.ctx
+    w1 = big[g.target.ctx.weight_slice(1)]
     sctx = f.source.ctx
-    w1 = tctx.weight_indices(1)
-    for j in range(1, sctx.bound + 1):
-        cols = sctx.weight_indices(j)
-        m = zeros(g.target.space.dim, len(cols))
-        for cc, gc in enumerate(cols):
-            for rr, gr in enumerate(w1):
-                m[rr][cc] = big[gr][gc]
-        comps[j] = m
+    comps = {j: [row[sctx.weight_slice(j)] for row in w1]
+             for j in range(1, sctx.bound + 1)}
     return LInfinityMorphism(f.source, g.target, comps)
 
 
 def identity_morphism(alg):
-    n = alg.space.dim
-    return LInfinityMorphism.from_linear(
-        alg, alg, [[Q1 if i == j else Q0 for j in range(n)]
-                   for i in range(n)])
+    return LInfinityMorphism.from_linear(alg, alg, identity(alg.space.dim))
 
 
 def exp_coderivation(alg, alpha):
@@ -366,45 +350,36 @@ def exp_coderivation(alg, alpha):
         raise ValueError("gauge generator must be a degree-0 map of arity ≥ 2")
     ctx = alg.ctx
     lift = zeros(ctx.dim, ctx.dim)
-    for n in range(ctx.bound + 1):
-        block = coder_lift_block(alpha, ctx, n)
-        cols = ctx.weight_indices(n)
-        if not block:
-            continue
-        rows = ctx.weight_indices(n - alpha.arity + 1)
-        for cc, gc in enumerate(cols):
-            for rr, gr in enumerate(rows):
-                if block[rr][cc]:
-                    lift[gr][gc] += block[rr][cc]
+    for n in range(alpha.arity - 1, ctx.bound + 1):
+        _add_block(lift, ctx, n - alpha.arity + 1, n,
+                   coder_lift_block(alpha, ctx, n))
     expm = _exp_nilpotent(lift)
     expm_inv = _exp_nilpotent([[-x for x in row] for row in lift])
     conj = mat_mul(expm_inv, mat_mul(alg.qhat(), expm))
+    w1 = ctx.weight_slice(1)
     taylor = {}
-    w1 = ctx.weight_indices(1)
-    for j in range(1, ctx.bound + 1):
-        cols = ctx.weight_indices(j)
-        m = zeros(alg.space.dim, len(cols))
-        for cc, gc in enumerate(cols):
-            for rr, gr in enumerate(w1):
-                m[rr][cc] = conj[gr][gc]
-        if not is_zero_mat(m):
-            taylor[j] = PowerMap(ctx.pb[j], alg.space, 1, m)
-    new_alg = LInfinityAlgebra(alg.space, taylor, alg.bound)
     comps = {}
     for j in range(1, ctx.bound + 1):
-        cols = ctx.weight_indices(j)
-        m = zeros(alg.space.dim, len(cols))
-        for cc, gc in enumerate(cols):
-            for rr, gr in enumerate(w1):
-                m[rr][cc] = expm[gr][gc]
-        comps[j] = m
+        cols = ctx.weight_slice(j)
+        m = [row[cols] for row in conj[w1]]
+        if not is_zero_mat(m):
+            taylor[j] = PowerMap(ctx.pb[j], alg.space, 1, m)
+        comps[j] = [row[cols] for row in expm[w1]]
+    new_alg = LInfinityAlgebra(alg.space, taylor, alg.bound)
     return new_alg, LInfinityMorphism(new_alg, alg, comps)
+
+
+def _add_block(big, ctx, out_w, in_w, block):
+    """Add a weight in_w → out_w block into a matrix on ctx's flat basis."""
+    cols = ctx.weight_slice(in_w)
+    for row, brow in zip(big[ctx.weight_slice(out_w)], block):
+        row[cols] = vec_add(row[cols], brow)
 
 
 def _exp_nilpotent(m):
     n = len(m)
-    out = [[Q1 if i == j else Q0 for j in range(n)] for i in range(n)]
-    term = [[Q1 if i == j else Q0 for j in range(n)] for i in range(n)]
+    out = identity(n)
+    term = identity(n)
     k = 0
     while True:
         k += 1
@@ -535,49 +510,21 @@ class LinfCeComplex:
             # R-part: Σ_m r_m ∘ α̂^{m}_{j}
             for m_w, rm in tgt.taylor.items():
                 block = fcoder_block(f, p, alpha, j, m_w)
-                contrib = mat_mul(rm.matrix, block)
-                val = [[a + b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(val, contrib)]
+                val = mat_add(val, mat_mul(rm.matrix, block))
             # Q-part: −(−1)^{ᾱ} α ∘ Q̂^{p}_{j}
             k = j - p + 1
             qk = src.taylor.get(k)
             if qk is not None:
                 block = coder_lift_block(qk, src.ctx, j)
                 contrib = mat_mul(alpha, block)
-                s = -parity_sign(adeg)
-                val = [[a + s * b for a, b in zip(ra, rb)]
-                       for ra, rb in zip(val, contrib)]
+                val = mat_add(val, contrib) if adeg & 1 else \
+                    mat_sub(val, contrib)
             col = self.columns[j]
             for out_t in range(len(src.ctx.pb[j])):
                 for out_w in range(tgt.space.dim):
                     if val[out_w][out_t]:
                         out.append(((j, out_t, out_w), val[out_w][out_t]))
         return out
-
-    def element_from_component(self, p, matrix):
-        """Embed a single-arity map (matrix W.dim × |V^⊙p|) as a vector."""
-        vec = zero_vec(self.total.space.dim)
-        for t_pos in range(len(self.f.source.ctx.pb[p])):
-            for w_idx in range(self.f.target.space.dim):
-                if matrix[w_idx][t_pos]:
-                    vec[self.global_index(p, t_pos, w_idx)] = \
-                        matrix[w_idx][t_pos]
-        return vec
-
-    def component_of_element(self, vec, p):
-        m = zeros(self.f.target.space.dim, len(self.f.source.ctx.pb[p]))
-        for t_pos in range(len(self.f.source.ctx.pb[p])):
-            for w_idx in range(self.f.target.space.dim):
-                v = vec[self.global_index(p, t_pos, w_idx)]
-                if v:
-                    m[w_idx][t_pos] = v
-        return m
-
-
-def ce_linf(f, l):
-    """Filtered total complex of relative coderivations along f, truncated
-    to columns < l."""
-    return LinfCeComplex(f, l)
 
 
 def ce_linf_self(alg, l):
@@ -623,16 +570,11 @@ def decalage_conjugation(alg_l, l, bound=None):
         # vertical: δ̄ s_p + s_p [q₁, −] = 0
         db = ce_delta_bar_on(cols_l[p])
         nr1 = _nr_column_matrix(v_alg, ce_v, p, 1)
-        lhs = mat_mul(db, smats[p])
-        rhs = mat_mul(smats[p], nr1)
-        vert = [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(lhs, rhs)]
+        vert = mat_add(mat_mul(db, smats[p]), mat_mul(smats[p], nr1))
         # horizontal: δ s_p + s_{p+1} [q₂, −] = 0
         dd = ce_delta_on(cols_l[p], cols_l[p + 1])
         nr2 = _nr_column_matrix(v_alg, ce_v, p, 2)
-        lhs2 = mat_mul(dd, smats[p])
-        rhs2 = mat_mul(smats[p + 1], nr2)
-        horiz = [[a + b for a, b in zip(ra, rb)]
-                 for ra, rb in zip(lhs2, rhs2)]
+        horiz = mat_add(mat_mul(dd, smats[p]), mat_mul(smats[p + 1], nr2))
         ok = is_zero_mat(vert) and is_zero_mat(horiz)
         report["columns"].append({"p": p, "vertical_ok": is_zero_mat(vert),
                                   "horizontal_ok": is_zero_mat(horiz)})

@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .dgla import cohomology
+from .dgla import cohomology, cohomology_lie
 from .linalg import (
-    is_zero_vec, mat_vec, solve, vec_add, vec_scale, vec_sub, zero_vec,
+    is_zero_vec, mat_vec, solve, vec_add, vec_scale, zero_vec,
 )
 
 
@@ -166,14 +166,12 @@ def lift_to_order(alg, x1, order):
             "residuals": chk["residuals"]}
 
 
-def quadraticity_check(alg, samples, certificate, order=6):
+def quadraticity_check(alg, samples, certificate):
     """For a formal algebra, third-order liftability of t·x₁ must coincide
     with liftability to every order on the trivial-differential model."""
     if certificate.get("verdict") not in ("FormalUpTo",
                                           "HomotopyAbelianUpTo"):
         raise ValueError("requires a formality certificate")
-    con = cohomology(alg.complex())
-    from .dgla import cohomology_lie
     h_alg, h_con = cohomology_lie(alg)
     results = []
     for x1 in samples:
