@@ -16,7 +16,7 @@ from .graded import (
 )
 from .linalg import (
     Q1, identity, is_zero_mat, is_zero_vec, mat_add, mat_mul, mat_sub,
-    vec_add, zero_vec, zeros,
+    zero_vec, zeros,
 )
 
 
@@ -370,10 +370,14 @@ def exp_coderivation(alg, alpha):
 
 
 def _add_block(big, ctx, out_w, in_w, block):
-    """Add a weight in_w → out_w block into a matrix on ctx's flat basis."""
-    cols = ctx.weight_slice(in_w)
+    """Add a weight in_w → out_w block into a matrix on ctx's flat basis.
+
+    Only nonzero entries are added, so the zeros stay the shared Q0."""
+    start = ctx.weight_slice(in_w).start
     for row, brow in zip(big[ctx.weight_slice(out_w)], block):
-        row[cols] = vec_add(row[cols], brow)
+        for c, x in enumerate(brow):
+            if x:
+                row[start + c] += x
 
 
 def _exp_nilpotent(m):
