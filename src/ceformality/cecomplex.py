@@ -11,7 +11,7 @@ from .graded import (
     EXTERIOR, GradedMap, GradedVectorSpace, PowerBasis, koszul_sign, parity_sign,
 )
 from .linalg import (
-    Q0, Q1, Subspace, is_zero_mat, mat_add, mat_mul, vec_add, vec_scale,
+    Q1, Subspace, is_zero_mat, mat_add, mat_mul, vec_scale,
     zero_vec, zeros,
 )
 
@@ -136,8 +136,6 @@ def _delta_on_basis(src, dst, t_pos, m_idx):
         sign, canon = src.pb.normalize(args)
         return sign if sign and canon == t else 0
 
-    em = zero_vec(M.space.dim)
-    em[m_idx] = Q1
     t_count = Counter(t)
     for s_pos, s in enumerate(dst.pb.elements):
         # the form vanishes unless s minus at most two entries matches t
@@ -152,8 +150,10 @@ def _delta_on_basis(src, dst, t_pos, m_idx):
                 continue
             perm = [k for k in range(p1) if k != i] + [i]
             chi = koszul_sign(degs, perm, antisymmetric=True)
-            xi = [Q1 if k == s[i] else Q0 for k in range(L.space.dim)]
-            val = vec_add(val, vec_scale(chi * sgn, M.act(em, xi)))
+            # s[i] acting on the basis vector m is column m of its action
+            for r, row in enumerate(M.action[s[i]]):
+                if row[m_idx]:
+                    val[r] += chi * sgn * row[m_idx]
         for i in range(p1):
             for j in range(i + 1, p1):
                 rest = tuple(s[k] for k in range(p1) if k != i and k != j)

@@ -36,6 +36,13 @@ COMMANDS = (
     "kaledin", "mc-check", "mc-lift", "quadraticity",
 )
 
+# commands acting on the one algebra of a problem, which morphism problems
+# (a map between two algebras) do not have
+ALGEBRA_COMMANDS = (
+    "cohomology", "ce-pages", "euler", "obstructions", "minimal-model",
+    "formality", "kaledin",
+)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -155,6 +162,8 @@ def run(args):
                    "order": args.order},
     }
     cmd = args.command
+    if kind == "morphism" and cmd in ALGEBRA_COMMANDS:
+        raise ProblemError(f"{cmd} needs an algebra, not a morphism problem")
 
     if cmd == "validate":
         ok = True
@@ -179,6 +188,9 @@ def run(args):
         return code if ok else INVALID_EXIT
 
     if cmd == "cohomology":
+        if kind == "linf":
+            raise ProblemError(
+                "cohomology needs a dg-Lie algebra, not a linf problem")
         h, con = cohomology_lie(problem["algebra"])
         report["dimensions"] = {
             str(d): h.space.dim_in_degree(d) for d in h.space.degree_support()}

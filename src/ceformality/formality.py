@@ -172,49 +172,41 @@ def minimal_model(alg, bound):
     g = LInfinityMorphism(w_alg, alg, g_comps)
     for n in range(2, bound + 1):
         pb_n = w_alg.ctx.pb[n]
-        x_n = zeros(alg.space.dim, len(pb_n))
+        # Neither sum sees g_n or r_n (the lifts use arities < n, and a
+        # weight-k ≥ 2 block on n-tuples only g_j with j < n), so the
+        # identity gate below reuses both.
         # known transferred terms entering through the coderivation lift
+        lifts = zeros(alg.space.dim, len(pb_n))
         for m_w in range(2, n):
             rm = w_alg.taylor.get(m_w)
             if rm is None:
                 continue
             block = coder_lift_block(rm, w_alg.ctx, n)
-            x_n = mat_sub(x_n, mat_mul(g.f1(n - m_w + 1), block))
+            lifts = mat_add(lifts, mat_mul(g.f1(n - m_w + 1), block))
         # known structure terms through the morphism components
+        blocks = zeros(alg.space.dim, len(pb_n))
         for k in range(2, n + 1):
             qk = alg.taylor.get(k)
             if qk is None:
                 continue
-            x_n = mat_add(x_n, mat_mul(qk.matrix, _morphism_block(g, k, n)))
+            blocks = mat_add(blocks,
+                             mat_mul(qk.matrix, _morphism_block(g, k, n)))
+        x_n = mat_sub(blocks, lifts)
         r_n = mat_mul(pmat, x_n)
         g_n = mat_mul(hmat, x_n)
         if not is_zero_mat(r_n):
             w_alg.taylor[n] = PowerMap(pb_n, hspace, 1, r_n)
             w_alg._qhat = None
-        if not is_zero_mat(g_n):
-            g.components[n] = g_n
-            g._big = None
+        g.set_component(n, g_n)
         # exact arity-n morphism identity as the correctness gate
-        lhs = mat_mul(imat, r_n)
-        for m_w in range(2, n):
-            rm = w_alg.taylor.get(m_w)
-            if rm is None:
-                continue
-            block = coder_lift_block(rm, w_alg.ctx, n)
-            lhs = mat_add(lhs, mat_mul(g.f1(n - m_w + 1), block))
-        rhs = mat_mul(alg.q(1).matrix, g.f1(n))
-        for k in range(2, n + 1):
-            qk = alg.taylor.get(k)
-            if qk is None:
-                continue
-            rhs = mat_add(rhs, mat_mul(qk.matrix, _morphism_block(g, k, n)))
+        lhs = mat_add(mat_mul(imat, r_n), lifts)
+        rhs = mat_add(mat_mul(alg.q(1).matrix, g.f1(n)), blocks)
         if lhs != rhs:
             raise AssertionError(
                 f"transfer recursion failed the arity-{n} identity")
     # projection morphism f with f∘g = identity, solved order by order
     f_comps = {1: [row[:] for row in pmat]}
     f = LInfinityMorphism(alg, w_alg, f_comps)
-    gbig = g.big_matrix()
     for n in range(2, bound + 1):
         pb_nv = alg.ctx.pb[n]
         pb_nw = w_alg.ctx.pb[n]
@@ -234,17 +226,14 @@ def minimal_model(alg, bound):
         # f∘g identity at arity n pins the values on transferred tuples
         z_n = zeros(hspace.dim, len(pb_nw))
         for a in range(1, n):
-            block = _morphism_block_from_big(g, gbig, a, n)
-            z_n = mat_sub(z_n, mat_mul(f.f1(a), block))
-        b_n = _morphism_block_from_big(g, gbig, n, n)
+            z_n = mat_sub(z_n, mat_mul(f.f1(a), _morphism_block(g, a, n)))
+        b_n = _morphism_block(g, n, n)
         a_cat = [da + ba for da, ba in zip(d_n, b_n)]
         rhs_cat = [ya + za for ya, za in zip(y_n, z_n)]
         sol = solve_right(a_cat, rhs_cat)
         if sol is None:
             raise AssertionError(f"no arity-{n} projection component exists")
-        if not is_zero_mat(sol):
-            f.components[n] = sol
-            f._big = None
+        f.set_component(n, sol)
     rep = validate_linf(w_alg)
     if not rep["ok"]:
         raise AssertionError("transferred structure fails its relations")
@@ -257,11 +246,6 @@ def minimal_model(alg, bound):
         if comp.f1(j) != ident.f1(j):
             raise AssertionError("f∘g is not the identity")
     return {"minimal": w_alg, "into": g, "onto": f, "contraction": con}
-
-
-def _morphism_block_from_big(f, big, k, n):
-    cols = f.source.ctx.weight_slice(n)
-    return [row[cols] for row in big[f.target.ctx.weight_slice(k)]]
 
 
 def _bracket_with_q2_matrix(alg, arity):

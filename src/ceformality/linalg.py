@@ -47,10 +47,16 @@ def transpose(a):
 
 
 def mat_add(a, b):
+    """a + b; returns a itself when b is zero."""
+    if is_zero_mat(b):
+        return a
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_sub(a, b):
+    """a − b; returns a itself when b is zero."""
+    if is_zero_mat(b):
+        return a
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 

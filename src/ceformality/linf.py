@@ -218,7 +218,11 @@ def set_partitions(items):
 
 class LInfinityMorphism:
     """Coalgebra morphism between truncated structures, stored through its
-    corestriction components f¹_j: V^⊙j → W of degree 0."""
+    corestriction components f¹_j: V^⊙j → W of degree 0.
+
+    Values on tuples are memoized; ``set_component`` is the one way to
+    change a component after construction, since it drops the stale ones.
+    """
 
     def __init__(self, source, target, components):
         self.source = source
@@ -226,11 +230,22 @@ class LInfinityMorphism:
         self.components = {j: m for j, m in components.items()
                            if not is_zero_mat(m)}
         self._big = None
+        self._values = {}
 
     def f1(self, j):
         if j in self.components:
             return self.components[j]
         return zeros(self.target.space.dim, len(self.source.ctx.pb[j]))
+
+    def set_component(self, j, m):
+        """Replace f¹_j by m.  Only values on tuples of length ≥ j can see
+        f¹_j, so the memoized values of shorter tuples are kept."""
+        if is_zero_mat(m):
+            self.components.pop(j, None)
+        else:
+            self.components[j] = m
+        self._big = None
+        self._values = {t: v for t, v in self._values.items() if len(t) < j}
 
     @property
     def linear(self):
@@ -242,7 +257,16 @@ class LInfinityMorphism:
 
     def component_value(self, tup):
         """f applied to a canonical tuple, as a vector on the target's
-        truncated coalgebra basis."""
+        truncated coalgebra basis.
+
+        The vector is memoized and shared between calls: callers must not
+        mutate it."""
+        out = self._values.get(tup)
+        if out is None:
+            out = self._values[tup] = self._evaluate(tup)
+        return out
+
+    def _evaluate(self, tup):
         src, tgt = self.source, self.target
         sctx, tctx = src.ctx, tgt.ctx
         n = len(tup)
@@ -255,28 +279,31 @@ class LInfinityMorphism:
             j = len(part)
             if j > tctx.bound:
                 continue
-            perm = [i for block in part for i in block]
-            eps = koszul_sign(degs, perm, antisymmetric=False)
+            # a missing component or a zero factor kills the whole product
             factors = []
-            ok = True
             for block in part:
-                sub = tuple(tup[i] for i in block)
-                comp = self.f1(len(block))
-                sign, canon = sctx.pb[len(block)].normalize(sub)
-                if sign == 0:
-                    ok = False
+                comp = self.components.get(len(block))
+                if comp is None:
                     break
-                c = sctx.pb[len(block)].index(canon)
-                vec = [sign * comp[r][c] for r in range(tgt.space.dim)]
-                factors.append(vec)
-            if not ok:
-                continue
-            for coeff, otup in _expand_product(tgt.space, factors):
-                sign, canon = tctx.pb[j].normalize(otup)
+                pb = sctx.pb[len(block)]
+                sign, canon = pb.normalize(tuple(tup[i] for i in block))
                 if sign == 0:
-                    continue
-                out[tctx.index(j, tctx.pb[j].index(canon))] += \
-                    eps * coeff * sign
+                    break
+                c = pb.index(canon)
+                vec = [(r, row[c] if sign > 0 else -row[c])
+                       for r, row in enumerate(comp) if row[c]]
+                if not vec:
+                    break
+                factors.append(vec)
+            else:
+                perm = [i for block in part for i in block]
+                eps = koszul_sign(degs, perm, antisymmetric=False)
+                for coeff, otup in _expand_product(factors):
+                    sign, canon = tctx.pb[j].normalize(otup)
+                    if sign == 0:
+                        continue
+                    out[tctx.index(j, tctx.pb[j].index(canon))] += \
+                        eps * coeff * sign
         return out
 
     def big_matrix(self):
@@ -292,16 +319,13 @@ class LInfinityMorphism:
         return self._big
 
 
-def _expand_product(space, factors):
-    """Expand a ⊙-product of weight-1 vectors into (coeff, index tuple)."""
+def _expand_product(factors):
+    """Expand a ⊙-product of weight-1 vectors, each given as its nonzero
+    (index, entry) pairs, into (coeff, index tuple)."""
     terms = [(Q1, ())]
     for vec in factors:
-        new = []
-        for coeff, tup in terms:
-            for a, ca in enumerate(vec):
-                if ca:
-                    new.append((coeff * ca, tup + (a,)))
-        terms = new
+        terms = [(coeff * ca, tup + (a,))
+                 for coeff, tup in terms for a, ca in vec]
     return terms
 
 

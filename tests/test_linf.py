@@ -1,9 +1,11 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from ceformality.dgla import DgLieAlgebra, dgla_is_valid
+from ceformality.formality import minimal_model
 from ceformality.graded import (
     GradedVectorSpace, PowerBasis, PowerMap, SYMMETRIC,
 )
@@ -14,6 +16,7 @@ from ceformality.linf import (
     exp_coderivation, identity_morphism, nr_bracket, set_partitions,
     undecalage, validate_linf, validate_linf_morphism,
 )
+from ceformality.problems import load_problem
 from ceformality.specseq import page
 
 F = Fraction
@@ -186,6 +189,78 @@ def test_morphism_failure_detected():
     m[0][0] = F(2)
     bad = LInfinityMorphism.from_linear(alg, alg, m)
     assert not validate_linf_morphism(bad)["ok"]
+
+
+def all_tuples(ctx):
+    return [t for n in range(ctx.bound + 1) for t in ctx.pb[n].elements]
+
+
+def assert_matches_fresh(f):
+    """Every memoized or new value of f equals that of an unmemoized copy."""
+    fresh = LInfinityMorphism(f.source, f.target, f.components)
+    for t in all_tuples(f.source.ctx):
+        assert f.component_value(t) == fresh.component_value(t), t
+    assert f.big_matrix() == fresh.big_matrix()
+
+
+def gauge_morphism():
+    """A coalgebra morphism with a nonzero component in every arity ≤ 4."""
+    alg = decalage(two_step(), 4)
+    alpha = random_power_map(alg.space, 2, 0, random.Random(5), density=1.0)
+    _new, phi = exp_coderivation(alg, alpha)
+    assert sorted(phi.components) == [1, 2, 3, 4]
+    return phi
+
+
+@pytest.mark.parametrize("longest", [2, 4])
+@pytest.mark.parametrize("j", [1, 2, 3, 4])
+def test_set_component_drops_exactly_the_stale_values(longest, j):
+    # memo filled up to tuples of length `longest`: j runs below, at and
+    # above it, and every arity's new component changes some value
+    phi = gauge_morphism()
+    if longest == phi.source.bound:
+        phi.big_matrix()
+    else:
+        for t in all_tuples(phi.source.ctx):
+            if len(t) <= longest:
+                phi.component_value(t)
+    rng = random.Random(j)
+    new = random_power_map(phi.source.space, j, 0, rng, density=1.0).matrix
+    assert new != phi.f1(j) and not is_zero_mat(new)
+    phi.set_component(j, new)
+    assert phi.f1(j) is new
+    assert_matches_fresh(phi)
+
+
+def test_set_component_to_zero_removes_it():
+    phi = gauge_morphism()
+    phi.big_matrix()
+    phi.set_component(3, zeros(phi.target.space.dim,
+                               len(phi.source.ctx.pb[3])))
+    assert 3 not in phi.components
+    assert_matches_fresh(phi)
+
+
+def exact_bracket():
+    """[u, v] = z = dw: the transfer's morphism gains an arity-2 component,
+    where the fixtures' zero differentials keep theirs linear."""
+    return DgLieAlgebra.from_data(
+        {0: ["u", "w"], 1: ["v", "z"]}, {"w": [("z", 1)]},
+        {("u", "v"): [("z", 1)]})
+
+
+def fixture_algebra(name):
+    path = os.path.join(os.path.dirname(__file__), "fixtures", name + ".json")
+    return load_problem(path)["algebra"]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fixture_algebra("quadcone"), lambda: fixture_algebra("endu"),
+    exact_bracket], ids=["quadcone", "endu", "exact_bracket"])
+def test_minimal_model_morphism_values_match_fresh(make):
+    mm = minimal_model(decalage(make(), 4), 4)
+    for side in ("into", "onto"):
+        assert_matches_fresh(mm[side])
 
 
 # -- coderivation complex and the comparison with alternating forms ------
