@@ -1,258 +1,198 @@
 """Bicomplex of module-valued alternating forms on a dg-Lie algebra:
 the two anticommuting differentials, the column filtration, and the
-column-truncated filtered total complex."""
+column-truncated filtered total complex.  The column and total-complex
+bookkeeping also serves the coderivation complex in ``linf``."""
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .dgla import CochainComplex, cohomology
 from .graded import (
-    EXTERIOR, GradedMap, GradedVectorSpace, PowerBasis, koszul_sign, parity_sign,
+    EXTERIOR, GradedMap, GradedVectorSpace, PowerBasis, koszul_sign,
+    parity_sign,
 )
-from .linalg import (
-    Q1, Subspace, is_zero_mat, mat_add, mat_mul, vec_scale,
-    zero_vec, zeros,
-)
+from .linalg import Q1, is_zero_mat, mat_add, mat_mul, zero_vec, zeros
+from .specseq import FilteredTotalComplex, page
 
 
 class HomColumn:
-    """Hom*(L^∧p, M) with a flat graded basis.
+    """Hom*(V^p, W) with a flat graded basis, where V^p is the power basis
+    ``pb`` (exterior for forms, symmetric for coderivations) of the space of
+    ``source`` and W the space of ``target``.
 
-    Basis elements are pairs (canonical wedge tuple t, target basis vector m)
-    of internal degree deg(m) − deg(t); within each degree they are ordered by
-    (source tuple, target index).
+    Basis elements are pairs (canonical tuple t, target basis vector w) of
+    internal degree deg(w) − deg(t); within each degree they are ordered by
+    (source tuple, target index).  ``flat[t][w]`` is the flat position.
     """
 
-    def __init__(self, alg, mod, p):
-        self.alg = alg
-        self.mod = mod
-        self.p = p
-        self.pb = PowerBasis(alg.space, EXTERIOR, p)
-        items = []
-        for t_pos in range(len(self.pb)):
-            tdeg = self.pb.degree(t_pos)
-            for m_idx in range(mod.space.dim):
-                q = mod.space.degrees[m_idx] - tdeg
-                items.append((q, t_pos, m_idx))
-        items.sort()
+    def __init__(self, source, target, pb):
+        self.source = source
+        self.target = target
+        self.pb = pb
+        self.p = pb.arity
+        wspace = target.space
+        items = sorted((wspace.degrees[w] - pb.degree(t_pos), t_pos, w)
+                       for t_pos in range(len(pb)) for w in range(wspace.dim))
         comps = {}
         self.pairs = []
-        self._flat = {}
-        for flat, (q, t_pos, m_idx) in enumerate(items):
-            tl = self.pb.label(t_pos) if p > 0 else "1"
-            lab = f"{tl}=>{mod.space.labels[m_idx]}"
-            comps.setdefault(q, []).append(lab)
-            self.pairs.append((t_pos, m_idx))
-            self._flat[(t_pos, m_idx)] = flat
+        self.flat = [[0] * wspace.dim for _ in range(len(pb))]
+        for pos, (q, t_pos, w) in enumerate(items):
+            tl = pb.label(t_pos) if self.p else "1"
+            comps.setdefault(q, []).append(f"{tl}=>{wspace.labels[w]}")
+            self.pairs.append((t_pos, w))
+            self.flat[t_pos][w] = pos
         self.space = GradedVectorSpace(comps)
 
-    def index(self, t_pos, m_idx):
-        return self._flat[(t_pos, m_idx)]
+    def index(self, t_pos, w):
+        return self.flat[t_pos][w]
 
     def evaluate(self, vec, args):
-        """Value of the form ``vec`` on an arbitrary index tuple, in M."""
-        out = zero_vec(self.mod.space.dim)
+        """Value of the form ``vec`` on an arbitrary index tuple, in W."""
+        out = zero_vec(self.target.space.dim)
         sign, canon = self.pb.normalize(args)
         if sign == 0 or canon not in self.pb._index:
             return out
-        t_pos = self.pb.index(canon)
-        for m_idx in range(self.mod.space.dim):
-            c = vec[self.index(t_pos, m_idx)]
+        for w, pos in enumerate(self.flat[self.pb.index(canon)]):
+            c = vec[pos]
             if c:
-                out[m_idx] += sign * c
+                out[w] += sign * c
         return out
 
 
-def _delta_bar_on_basis(col, t_pos, m_idx):
-    """Vertical differential of the basis form e_{t,m}, as a column vector.
+def form_column(alg, mod, p):
+    """The column Hom*(L^∧p, M) of alternating forms."""
+    return HomColumn(alg, mod, PowerBasis(alg.space, EXTERIOR, p))
 
-    The form is supported on the single canonical tuple t, so evaluation on
-    an argument tuple reduces to a normalize-and-compare.
-    """
-    L, M, p = col.alg, col.mod, col.p
-    t = col.pb.elements[t_pos]
-    phi_deg = col.space.degrees[col.index(t_pos, m_idx)]
 
-    def eval_on(args):
-        sign, canon = col.pb.normalize(args)
-        return sign if sign and canon == t else 0
+class ColumnComplex:
+    """Columns ``self.columns[p]`` (HomColumns, p < l) assembled into one
+    filtered total complex.  Column p is filtration level p and its internal
+    degree q sits in total degree q + shift·p; the flat order is (total
+    degree, p, position in the column)."""
 
-    out = zero_vec(col.space.dim)
-    t_count = Counter(t)
-    for s_pos, s in enumerate(col.pb.elements):
-        # the form vanishes unless s minus at most one entry matches t
-        if sum((Counter(s) - t_count).values()) > 1:
-            continue
-        val = zero_vec(M.space.dim)
-        if s == t:
-            for r in range(M.space.dim):
-                val[r] = M.differential.matrix[r][m_idx]
-        sign_exp = phi_deg
-        for i in range(p):
-            outer = -parity_sign(sign_exp)
-            for j in range(L.space.dim):
-                c = L.differential.matrix[j][s[i]]
-                if c:
-                    sgn = eval_on(s[:i] + (j,) + s[i + 1:])
-                    if sgn:
-                        val[m_idx] += outer * sgn * c
-            sign_exp += L.space.degrees[s[i]]
-        for m2 in range(M.space.dim):
-            if val[m2]:
-                out[col.index(s_pos, m2)] += val[m2]
-    return out
+    def _assemble(self, blocks, shift, check):
+        """The filtered total complex whose differential has the block
+        ``blocks[(p, p2)]`` from column p to column p2."""
+        order = sorted((q + shift * p, p, i)
+                       for p, col in enumerate(self.columns)
+                       for i, q in enumerate(col.space.degrees))
+        comps = {}
+        self._glob = [[0] * col.space.dim for col in self.columns]
+        for g, (n, p, i) in enumerate(order):
+            comps.setdefault(n, []).append(
+                f"p{p}|{self.columns[p].space.labels[i]}")
+            self._glob[p][i] = g
+        space = GradedVectorSpace(comps)
+        dmat = zeros(space.dim, space.dim)
+        for (p, p2), block in blocks.items():
+            rows, cols = self._glob[p2], self._glob[p]
+            for r, brow in enumerate(block):
+                drow = dmat[rows[r]]
+                for c, x in enumerate(brow):
+                    if x:
+                        drow[cols[c]] += x
+        diff = GradedMap(space, space, 1, dmat, check=check)
+        return FilteredTotalComplex(space, diff, [p for _n, p, _i in order],
+                                    len(self.columns), check=check)
+
+    def global_index(self, p, local):
+        """Flat index in the total complex of position ``local`` of
+        column p."""
+        return self._glob[p][local]
 
 
 def ce_delta_bar(alg, mod, p):
     """Matrix of the vertical differential on Hom*(L^∧p, M)."""
-    col = HomColumn(alg, mod, p)
+    col = form_column(alg, mod, p)
     return ce_delta_bar_on(col), col
 
 
 def ce_delta_bar_on(col):
-    n = col.space.dim
-    m = zeros(n, n)
-    for t_pos in range(len(col.pb)):
-        for m_idx in range(col.mod.space.dim):
-            v = _delta_bar_on_basis(col, t_pos, m_idx)
-            c = col.index(t_pos, m_idx)
-            for r in range(n):
-                m[r][c] = v[r]
-    return m
-
-
-def _delta_on_basis(src, dst, t_pos, m_idx):
-    """Horizontal differential of a basis form of Hom*(L^∧p, M), landing in
-    Hom*(L^∧(p+1), M)."""
-    L, M = src.alg, src.mod
-    p1 = dst.p
-    t = src.pb.elements[t_pos]
-    phi_deg = src.space.degrees[src.index(t_pos, m_idx)]
-    lead = parity_sign(phi_deg + src.p)
-    out = zero_vec(dst.space.dim)
-
-    def eval_on(args):
-        sign, canon = src.pb.normalize(args)
-        return sign if sign and canon == t else 0
-
-    t_count = Counter(t)
-    for s_pos, s in enumerate(dst.pb.elements):
-        # the form vanishes unless s minus at most two entries matches t
-        extras = sum((Counter(s) - t_count).values())
-        if extras > 2:
-            continue
-        degs = [L.space.degrees[i] for i in s]
-        val = zero_vec(M.space.dim)
-        for i in range(p1):
-            sgn = eval_on(s[:i] + s[i + 1:])
-            if not sgn:
-                continue
-            perm = [k for k in range(p1) if k != i] + [i]
-            chi = koszul_sign(degs, perm, antisymmetric=True)
-            # s[i] acting on the basis vector m is column m of its action
-            for r, row in enumerate(M.action[s[i]]):
-                if row[m_idx]:
-                    val[r] += chi * sgn * row[m_idx]
-        for i in range(p1):
-            for j in range(i + 1, p1):
-                rest = tuple(s[k] for k in range(p1) if k != i and k != j)
-                br = L.bracket_basis(s[i], s[j])
-                coeff = 0
-                for k, c in enumerate(br):
-                    if c:
-                        sgn = eval_on(rest + (k,))
-                        if sgn:
-                            coeff += sgn * c
-                if not coeff:
+    """(δ̄φ)(s) = d_M φ(s) − Σ_i (−1)^{φ̄+|s₀…s_{i−1}|} φ(s₀, …, ds_i, …),
+    built in one pass over the row tuples s: each term lands in the column
+    of the basis tuple its argument normalizes to."""
+    L, M, pb = col.source, col.target, col.pb
+    dl, dm = L.differential.matrix, M.differential.matrix
+    mdeg = M.space.degrees
+    m = zeros(col.space.dim, col.space.dim)
+    for s_pos, s in enumerate(pb.elements):
+        rows = col.flat[s_pos]
+        for r, drow in enumerate(dm):
+            for w, c in enumerate(drow):
+                if c:
+                    m[rows[r]][rows[w]] += c
+        prefix = 0
+        for i, si in enumerate(s):
+            for j, drow in enumerate(dl):
+                c = drow[si]
+                if not c:
                     continue
-                perm = [k for k in range(p1) if k != i and k != j] + [i, j]
-                chi = koszul_sign(degs, perm, antisymmetric=True)
-                val[m_idx] -= chi * coeff
-        val = vec_scale(lead, val)
-        for m2 in range(M.space.dim):
-            if val[m2]:
-                out[dst.index(s_pos, m2)] += val[m2]
-    return out
+                sign, t = pb.normalize(s[:i] + (j,) + s[i + 1:])
+                if not sign:
+                    continue
+                t_pos = pb.index(t)
+                tdeg = pb.degree(t_pos)
+                for w, pos in enumerate(col.flat[t_pos]):
+                    m[rows[w]][pos] -= \
+                        parity_sign(mdeg[w] - tdeg + prefix) * sign * c
+            prefix += L.space.degrees[si]
+    return m
 
 
 def ce_delta(alg, mod, p):
     """Matrix of the horizontal differential Hom*(L^∧p,M) → Hom*(L^∧(p+1),M)."""
-    src = HomColumn(alg, mod, p)
-    dst = HomColumn(alg, mod, p + 1)
+    src = form_column(alg, mod, p)
+    dst = form_column(alg, mod, p + 1)
     return ce_delta_on(src, dst), src, dst
 
 
 def ce_delta_on(src, dst):
+    """(δφ)(s) = (−1)^{φ̄+p} (Σ_i χ_i s_i·φ(s without s_i)
+    − Σ_{i<j} χ_ij φ(s without s_i, s_j, [s_i, s_j])) with Koszul signs χ,
+    built in one pass over the row tuples s of column p+1."""
+    L, M = src.source, src.target
+    p, p1 = src.p, dst.p
+    mdeg = M.space.degrees
     m = zeros(dst.space.dim, src.space.dim)
-    for t_pos in range(len(src.pb)):
-        for m_idx in range(src.mod.space.dim):
-            v = _delta_on_basis(src, dst, t_pos, m_idx)
-            c = src.index(t_pos, m_idx)
-            for r in range(dst.space.dim):
-                m[r][c] = v[r]
+    for s_pos, s in enumerate(dst.pb.elements):
+        rows = dst.flat[s_pos]
+        degs = [L.space.degrees[i] for i in s]
+        for i, si in enumerate(s):
+            sign, t = src.pb.normalize(s[:i] + s[i + 1:])
+            if not sign:
+                continue
+            t_pos = src.pb.index(t)
+            tdeg = src.pb.degree(t_pos)
+            perm = [k for k in range(p1) if k != i] + [i]
+            chi = sign * koszul_sign(degs, perm, antisymmetric=True)
+            cols = src.flat[t_pos]
+            for r, arow in enumerate(M.action[si]):
+                for w, c in enumerate(arow):
+                    if c:
+                        m[rows[r]][cols[w]] += \
+                            parity_sign(mdeg[w] - tdeg + p) * chi * c
+        for i in range(p1):
+            for j in range(i + 1, p1):
+                br = L.bracket_basis(s[i], s[j])
+                if not any(br):
+                    continue
+                rest = tuple(s[k] for k in range(p1) if k != i and k != j)
+                perm = [k for k in range(p1) if k != i and k != j] + [i, j]
+                chi = koszul_sign(degs, perm, antisymmetric=True)
+                for k, c in enumerate(br):
+                    if not c:
+                        continue
+                    sign, t = src.pb.normalize(rest + (k,))
+                    if not sign:
+                        continue
+                    t_pos = src.pb.index(t)
+                    tdeg = src.pb.degree(t_pos)
+                    for w, pos in enumerate(src.flat[t_pos]):
+                        m[rows[w]][pos] -= \
+                            parity_sign(mdeg[w] - tdeg + p) * chi * sign * c
     return m
 
 
-class FilteredTotalComplex:
-    """A finite complex with a decreasing coordinate filtration.
-
-    Every flat basis vector carries a level 0 ≤ level < length; F^p is the
-    span of basis vectors of level ≥ p, and the differential never lowers
-    the level.
-    """
-
-    def __init__(self, space, differential, levels, length, check=True):
-        self.space = space
-        self.differential = differential
-        self.levels = list(levels)
-        self.length = length
-        if check:
-            d = differential.matrix
-            for c in range(space.dim):
-                for r in range(space.dim):
-                    if d[r][c] != 0 and self.levels[r] < self.levels[c]:
-                        raise ValueError(
-                            "differential does not respect the filtration")
-            if not is_zero_mat(mat_mul(d, d)):
-                raise ValueError("total differential does not square to zero")
-
-    @property
-    def complex(self):
-        return CochainComplex(self.space, self.differential, check=False)
-
-    def filtration_subspace(self, p):
-        vecs = []
-        for i, lev in enumerate(self.levels):
-            if lev >= p:
-                e = zero_vec(self.space.dim)
-                e[i] = Q1
-                vecs.append(e)
-        return Subspace(self.space.dim, vecs)
-
-    def quotient_by_level(self, lev):
-        """The quotient complex by F^lev, with the index map old → new."""
-        keep = [i for i, l in enumerate(self.levels) if l < lev]
-        comps = {}
-        for i in keep:
-            comps.setdefault(self.space.degrees[i], []).append(
-                self.space.labels[i])
-        qspace = GradedVectorSpace(comps)
-        index_map = {i: qspace.index(self.space.labels[i]) for i in keep}
-        d = self.differential.matrix
-        qd = zeros(qspace.dim, qspace.dim)
-        for c in keep:
-            for r in keep:
-                qd[index_map[r]][index_map[c]] = d[r][c]
-        qlevels = [0] * qspace.dim
-        for i in keep:
-            qlevels[index_map[i]] = self.levels[i]
-        qdiff = GradedMap(qspace, qspace, 1, qd)
-        return (FilteredTotalComplex(qspace, qdiff, qlevels, lev, check=False),
-                index_map)
-
-
-class CeBicomplex:
+class CeBicomplex(ColumnComplex):
     """Columns Hom*(L^∧p, M) for p < l with both differentials, plus the
     assembled filtered total complex."""
 
@@ -262,12 +202,16 @@ class CeBicomplex:
         self.alg = alg
         self.mod = mod
         self.l = l
-        self.columns = [HomColumn(alg, mod, p) for p in range(l)]
+        self.columns = [form_column(alg, mod, p) for p in range(l)]
         self.delta_bar = [ce_delta_bar_on(c) for c in self.columns]
         self.delta = [ce_delta_on(self.columns[p], self.columns[p + 1])
                       for p in range(l - 1)]
         self._assert_bicomplex()
-        self.total = self._assemble()
+        # homogeneity, filtration compatibility and d**2 = 0 all follow
+        # from the column-level identities asserted above
+        blocks = {(p, p): db for p, db in enumerate(self.delta_bar)}
+        blocks.update(((p, p + 1), dd) for p, dd in enumerate(self.delta))
+        self.total = self._assemble(blocks, shift=1, check=False)
 
     def _assert_bicomplex(self):
         for p in range(self.l):
@@ -281,51 +225,6 @@ class CeBicomplex:
                            mat_mul(self.delta[p], self.delta_bar[p]))
             if not is_zero_mat(anti):
                 raise ValueError(f"differentials do not anticommute at p={p}")
-
-    def _assemble(self):
-        comps = {}
-        order = []  # (p, local flat index) in total flat order
-        for n in self._total_degrees():
-            for p, col in enumerate(self.columns):
-                for i in col.space.indices_in_degree(n - p):
-                    comps.setdefault(n, []).append(
-                        f"p{p}|{col.space.labels[i]}")
-                    order.append((p, i))
-        space = GradedVectorSpace(comps)
-        glob = {}
-        for g, (p, i) in enumerate(order):
-            glob[(p, i)] = g
-        levels = [p for (p, _i) in order]
-        dmat = zeros(space.dim, space.dim)
-        for p, col in enumerate(self.columns):
-            db = self.delta_bar[p]
-            for c in range(col.space.dim):
-                gc = glob[(p, c)]
-                for r in range(col.space.dim):
-                    if db[r][c]:
-                        dmat[glob[(p, r)]][gc] += db[r][c]
-                if p < self.l - 1:
-                    dd = self.delta[p]
-                    for r in range(self.columns[p + 1].space.dim):
-                        if dd[r][c]:
-                            dmat[glob[(p + 1, r)]][gc] += dd[r][c]
-        # homogeneity, filtration compatibility and d**2 = 0 all follow
-        # from the column-level identities asserted above
-        diff = GradedMap(space, space, 1, dmat, check=False)
-        ftc = FilteredTotalComplex(space, diff, levels, self.l, check=False)
-        ftc.cell_of_index = order
-        return ftc
-
-    def _total_degrees(self):
-        ns = set()
-        for p, col in enumerate(self.columns):
-            for q in col.space.degree_support():
-                ns.add(p + q)
-        return sorted(ns)
-
-    def global_index(self, p, local):
-        lab = f"p{p}|{self.columns[p].space.labels[local]}"
-        return self.total.space.index(lab)
 
 
 def build_ce(alg, mod, l):
@@ -343,9 +242,9 @@ def pushforward_matrix(f, ce_src, ce_dst):
     for p in range(ce_src.l):
         src, dst = ce_src.columns[p], ce_dst.columns[p]
         for t_pos in range(len(src.pb)):
-            for m_idx in range(src.mod.space.dim):
+            for m_idx in range(src.target.space.dim):
                 gc = ce_src.global_index(p, src.index(t_pos, m_idx))
-                for r in range(dst.mod.space.dim):
+                for r in range(dst.target.space.dim):
                     c = f.matrix[r][m_idx]
                     if c:
                         gr = ce_dst.global_index(p, dst.index(t_pos, r))
@@ -375,7 +274,7 @@ def pullback_matrix(f, ce_src, ce_dst):
                 if sign == 0 or canon not in src.pb._index:
                     continue
                 t_pos = src.pb.index(canon)
-                for m_idx in range(src.mod.space.dim):
+                for m_idx in range(src.target.space.dim):
                     gc = ce_src.global_index(p, src.index(t_pos, m_idx))
                     gr = ce_dst.global_index(p, dst.index(s_pos, m_idx))
                     m[gr][gc] += sign * coeff
@@ -385,8 +284,6 @@ def pullback_matrix(f, ce_src, ce_dst):
 def ce_first_page_check(alg, mod, l):
     """Compare E₁ of the truncated bicomplex against graded dimensions of
     forms on cohomology with values in cohomology."""
-    from .specseq import page
-
     ftc = build_ce(alg, mod, l)
     hl = cohomology(CochainComplex(alg.space, alg.differential,
                                    check=False)).cohomology

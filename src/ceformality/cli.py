@@ -120,6 +120,8 @@ def _algebra(problem, weight):
 
     Voronov problems carry an ambient Lie algebra; the object of interest
     is the induced higher structure on the abelian complement.
+    The page oracle of ``perfbench/run.py`` calls ``_algebra(problem,
+    weight)``, so this signature must not change.
     """
     if problem["kind"] == "voronov":
         alg, _ = derived_brackets(problem["algebra"], problem["subalgebra"],

@@ -39,7 +39,8 @@ def euler_power_map(alg):
 def _euler_vector(ce, alg):
     vec = zero_vec(ce.total.space.dim)
     for i in range(alg.space.dim):
-        vec[ce.global_index(1, i, i)] = Q1 * (alg.space.degrees[i] + 1)
+        vec[ce.global_index(1, ce.columns[1].index(i, i))] = \
+            Q1 * (alg.space.degrees[i] + 1)
     return vec
 
 

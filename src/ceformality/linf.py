@@ -8,7 +8,9 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from .cecomplex import FilteredTotalComplex
+from .cecomplex import (
+    ColumnComplex, HomColumn, ce_delta_bar_on, ce_delta_on, form_column,
+)
 from .dgla import DgLieAlgebra
 from .graded import (
     EXTERIOR, SYMMETRIC, GradedMap, GradedVectorSpace, PowerBasis, PowerMap,
@@ -424,56 +426,10 @@ def _exp_nilpotent(m):
     return out
 
 
-def fcoder_block(f, alpha_arity, alpha_matrix, n, out_weight):
-    """Weight-(n → out_weight) block of the relative coderivation lift of a
-    single-arity map α (matrix W.dim × |V^⊙alpha_arity|) along the morphism f.
-
-    Formula: α̂(v₁⊙…⊙v_n) = Σ_{B₀} ε · α(v_{B₀}) ⊙ f(v_rest), keeping the
-    weight-(out_weight−1) part of f(v_rest).
-    """
-    src, tgt = f.source, f.target
-    sctx, tctx = src.ctx, tgt.ctx
-    pb_in = sctx.pb[n]
-    pb_out = tctx.pb[out_weight] if out_weight <= tctx.bound else None
-    if pb_out is None:
-        return zeros(0, len(pb_in))
-    m = zeros(len(pb_out), len(pb_in))
-    if alpha_arity > n or out_weight < 1:
-        return m
-    rest_w = out_weight - 1
-    for c, t in enumerate(pb_in.elements):
-        degs = [src.space.degrees[i] for i in t]
-        for sel in combinations(range(n), alpha_arity):
-            rest = tuple(i for i in range(n) if i not in sel)
-            perm = list(sel) + list(rest)
-            eps = koszul_sign(degs, perm, antisymmetric=False)
-            sub = tuple(t[i] for i in sel)
-            sign0, canon0 = sctx.pb[alpha_arity].normalize(sub)
-            if sign0 == 0:
-                continue
-            c0 = sctx.pb[alpha_arity].index(canon0)
-            aval = [sign0 * alpha_matrix[r][c0]
-                    for r in range(tgt.space.dim)]
-            if is_zero_vec(aval):
-                continue
-            fval = f.component_value(tuple(t[i] for i in rest))
-            for fr_pos, tp in enumerate(tctx.pb[rest_w].elements):
-                coeff = fval[tctx.index(rest_w, fr_pos)]
-                if not coeff:
-                    continue
-                for a, ca in enumerate(aval):
-                    if not ca:
-                        continue
-                    sign, canon = pb_out.normalize((a,) + tp)
-                    if sign == 0:
-                        continue
-                    m[pb_out.index(canon)][c] += eps * coeff * ca * sign
-    return m
-
-
-class LinfCeComplex:
-    """Column-truncated complex of relative coderivations along a morphism,
-    graded by map degree and filtered by the least nonvanishing arity."""
+class LinfCeComplex(ColumnComplex):
+    """Column-truncated complex of relative coderivations along a morphism
+    f: (V, Q) → (W, R), graded by map degree and filtered by the least
+    nonvanishing arity: column p is Hom*(V^⊙p, W)."""
 
     def __init__(self, f, l):
         self.f = f
@@ -481,78 +437,77 @@ class LinfCeComplex:
         src, tgt = f.source, f.target
         if l > src.bound + 1:
             raise ValueError("column bound exceeds the weight bound")
-        self.columns = []
-        comps = {}
-        entries = []
-        for p in range(l):
-            pb = src.ctx.pb[p]
-            items = []
-            for t_pos in range(len(pb)):
-                tdeg = pb.degree(t_pos)
-                for w_idx in range(tgt.space.dim):
-                    deg = tgt.space.degrees[w_idx] - tdeg
-                    items.append((deg, t_pos, w_idx))
-            items.sort()
-            col = {"pairs": [], "flat": {}}
-            for deg, t_pos, w_idx in items:
-                tl = pb.label(t_pos) if p else "1"
-                label = f"p{p}|{tl}=>{tgt.space.labels[w_idx]}"
-                col["flat"][(t_pos, w_idx)] = len(col["pairs"])
-                col["pairs"].append((t_pos, w_idx, deg))
-                comps.setdefault(deg, []).append(label)
-                entries.append((p, t_pos, w_idx, label))
-            self.columns.append(col)
-        space = GradedVectorSpace(comps)
-        order = [None] * space.dim
-        levels = [0] * space.dim
-        glob = {}
-        for p, t_pos, w_idx, label in entries:
-            g = space.index(label)
-            order[g] = (p, t_pos, w_idx)
-            levels[g] = p
-            glob[(p, t_pos, w_idx)] = g
-        self._order = order
-        self._glob = glob
-        dmat = zeros(space.dim, space.dim)
-        for (p, t_pos, w_idx), gc in glob.items():
-            for (jq, out_t, out_w), val in self._d_basis(p, t_pos, w_idx):
-                dmat[glob[(jq, out_t, out_w)]][gc] += val
-        diff = GradedMap(space, space, 1, dmat)
-        self.total = FilteredTotalComplex(space, diff, levels, l)
-        self.total.cell_of_index = order
+        self.columns = [HomColumn(src, tgt, src.ctx.pb[p]) for p in range(l)]
+        self.total = self._assemble(self._blocks(), shift=0, check=True)
 
-    def global_index(self, p, t_pos, w_idx):
-        return self._glob[(p, t_pos, w_idx)]
+    def _blocks(self):
+        """dα = Rα̂ − (−1)^{ᾱ} α Q̂ corestricted, as one block from column p
+        to each column j ≥ p that holds all basis maps α of column p."""
+        tgt = self.f.target
+        # r_k(w ⊙ y) for every target basis vector w and weight-(k−1)
+        # tuple y, as nonzero (row, entry) pairs
+        r_on = {k: [[[(r, x) for r, x in enumerate(rk.eval_tuple((w,) + y))
+                      if x]
+                     for w in range(tgt.space.dim)]
+                    for y in tgt.ctx.pb[k - 1].elements]
+                for k, rk in tgt.taylor.items()}
+        blocks = {}
+        for p in range(self.l):
+            for j in range(p, self.l):
+                m = zeros(self.columns[j].space.dim,
+                          self.columns[p].space.dim)
+                self._add_r_part(m, p, j, r_on)
+                self._add_q_part(m, p, j)
+                blocks[(p, j)] = m
+        return blocks
 
-    def _d_basis(self, p, t_pos, w_idx):
-        """dα = Rα̂ − (−1)^{ᾱ} α̂Q̂ corestricted, for the basis map α that
-        sends the canonical tuple t to the target basis vector w."""
+    def _add_r_part(self, m, p, j, r_on):
+        """Σ_k r_k(α(u_sel) ⊙ f(u_rest)), walking each weight-j tuple u and
+        p-subset sel of its positions once: u_sel normalizes to the basis
+        tuple of the maps α it feeds, and f is evaluated once on u_rest."""
         f = self.f
-        src, tgt = f.source, f.target
-        alpha = zeros(tgt.space.dim, len(src.ctx.pb[p]))
-        alpha[w_idx][t_pos] = Q1
-        adeg = tgt.space.degrees[w_idx] - src.ctx.pb[p].degree(t_pos)
-        out = []
-        for j in range(p, self.l):
-            val = zeros(tgt.space.dim, len(src.ctx.pb[j]))
-            # R-part: Σ_m r_m ∘ α̂^{m}_{j}
-            for m_w, rm in tgt.taylor.items():
-                block = fcoder_block(f, p, alpha, j, m_w)
-                val = mat_add(val, mat_mul(rm.matrix, block))
-            # Q-part: −(−1)^{ᾱ} α ∘ Q̂^{p}_{j}
-            k = j - p + 1
-            qk = src.taylor.get(k)
-            if qk is not None:
-                block = coder_lift_block(qk, src.ctx, j)
-                contrib = mat_mul(alpha, block)
-                val = mat_add(val, contrib) if adeg & 1 else \
-                    mat_sub(val, contrib)
-            col = self.columns[j]
-            for out_t in range(len(src.ctx.pb[j])):
-                for out_w in range(tgt.space.dim):
-                    if val[out_w][out_t]:
-                        out.append(((j, out_t, out_w), val[out_w][out_t]))
-        return out
+        src, tctx = f.source, f.target.ctx
+        pb = src.ctx.pb[p]
+        col, out = self.columns[p], self.columns[j]
+        for u_pos, u in enumerate(src.ctx.pb[j].elements):
+            degs = [src.space.degrees[i] for i in u]
+            rows = out.flat[u_pos]
+            for sel in combinations(range(j), p):
+                sign, t = pb.normalize(tuple(u[i] for i in sel))
+                if not sign:
+                    continue
+                cols = col.flat[pb.index(t)]
+                rest = tuple(i for i in range(j) if i not in sel)
+                eps = sign * koszul_sign(degs, list(sel) + list(rest))
+                fval = f.component_value(tuple(u[i] for i in rest))
+                for k, r_k in r_on.items():
+                    for r_wy, coeff in zip(r_k,
+                                           fval[tctx.weight_slice(k - 1)]):
+                        if not coeff:
+                            continue
+                        x = eps * coeff
+                        for pos, pairs in zip(cols, r_wy):
+                            for r, v in pairs:
+                                m[rows[r]][pos] += v * x
+
+    def _add_q_part(self, m, p, j):
+        """−(−1)^{ᾱ} α ∘ Q̂ from weight j to weight p, through one
+        coderivation lift of q_{j−p+1}."""
+        src, tgt = self.f.source, self.f.target
+        qk = src.taylor.get(j - p + 1)
+        if qk is None:
+            return
+        pb = src.ctx.pb[p]
+        col, out = self.columns[p], self.columns[j]
+        for t_pos, brow in enumerate(coder_lift_block(qk, src.ctx, j)):
+            tdeg = pb.degree(t_pos)
+            for u_pos, x in enumerate(brow):
+                if not x:
+                    continue
+                rows = out.flat[u_pos]
+                for w, pos in enumerate(col.flat[t_pos]):
+                    m[rows[w]][pos] += \
+                        x if (tgt.space.degrees[w] - tdeg) & 1 else -x
 
 
 def ce_linf_self(alg, l):
@@ -568,22 +523,21 @@ def decalage_conjugation(alg_l, l, bound=None):
     total differentials agree up to a global sign and the two filtered
     complexes have identical pages.
     """
-    from .cecomplex import HomColumn, ce_delta_bar_on, ce_delta_on
     from .dgla import adjoint_module
 
     if bound is None:
         bound = l
     v_alg = decalage(alg_l, bound)
     mod = adjoint_module(alg_l)
-    cols_l = [HomColumn(alg_l, mod, p) for p in range(l + 1)]
+    cols_l = [form_column(alg_l, mod, p) for p in range(l + 1)]
     ce_v = ce_linf_self(v_alg, l + 1)
     v = v_alg.space
     smats = []
     for p in range(l + 1):
         colv = ce_v.columns[p]
         coll = cols_l[p]
-        m = zeros(coll.space.dim, len(colv["pairs"]))
-        for cidx, (t_pos, w_idx, _deg) in enumerate(colv["pairs"]):
+        m = zeros(coll.space.dim, colv.space.dim)
+        for cidx, (t_pos, w_idx) in enumerate(colv.pairs):
             t = v_alg.ctx.pb[p].elements[t_pos]
             sgn = parity_sign(p)
             for i, vi in enumerate(t):
@@ -617,11 +571,11 @@ def _nr_column_matrix(alg, ce, p, k):
     qk = alg.q(k)
     src_col = ce.columns[p]
     dst_col = ce.columns[p + k - 1]
-    m = zeros(len(dst_col["pairs"]), len(src_col["pairs"]))
-    for cidx, (t_pos, w_idx, _deg) in enumerate(src_col["pairs"]):
+    m = zeros(dst_col.space.dim, src_col.space.dim)
+    for cidx, (t_pos, w_idx) in enumerate(src_col.pairs):
         amat = zeros(alg.space.dim, len(alg.ctx.pb[p]))
         amat[w_idx][t_pos] = Q1
-        adeg = alg.space.degrees[w_idx] - alg.ctx.pb[p].degree(t_pos)
+        adeg = src_col.space.degrees[cidx]
         alpha = PowerMap(alg.ctx.pb[p], alg.space, adeg, amat)
         br = nr_bracket(qk, alpha, alg.ctx) if p + k - 1 <= alg.ctx.bound \
             else None
@@ -630,7 +584,7 @@ def _nr_column_matrix(alg, ce, p, k):
         for out_t in range(len(alg.ctx.pb[p + k - 1])):
             for out_w in range(alg.space.dim):
                 if br.matrix[out_w][out_t]:
-                    m[dst_col["flat"][(out_t, out_w)]][cidx] = \
+                    m[dst_col.index(out_t, out_w)][cidx] = \
                         br.matrix[out_w][out_t]
     return m
 

@@ -1,12 +1,72 @@
-"""Spectral sequence of a finite filtered complex: pages, differentials,
-degeneration checks, abutment comparison, and quotient-filtration comparison."""
+"""Finite filtered complexes and their spectral sequences: pages,
+differentials, degeneration checks, abutment comparison, and
+quotient-filtration comparison."""
 
 from __future__ import annotations
 
+from .graded import GradedMap, GradedVectorSpace
 from .linalg import (
-    Q1, Quotient, Subspace, block_kernel, is_zero_vec, mat_vec, rank,
-    zero_vec, zeros,
+    Q1, Quotient, Subspace, block_kernel, is_zero_mat, is_zero_vec, mat_mul,
+    mat_vec, rank, zero_vec, zeros,
 )
+
+
+class FilteredTotalComplex:
+    """A finite complex with a decreasing coordinate filtration.
+
+    Every flat basis vector carries a level 0 ≤ level < length; F^p is the
+    span of basis vectors of level ≥ p, and the differential never lowers
+    the level.  The cycle, boundary and page caches are filled by
+    ``cycle_space``, ``boundary_space`` and ``page``.
+    """
+
+    def __init__(self, space, differential, levels, length, check=True):
+        self.space = space
+        self.differential = differential
+        self.levels = list(levels)
+        self.length = length
+        self._cycle_cache = {}
+        self._boundary_cache = {}
+        self._page_cache = {}
+        if check:
+            d = differential.matrix
+            for c in range(space.dim):
+                for r in range(space.dim):
+                    if d[r][c] != 0 and self.levels[r] < self.levels[c]:
+                        raise ValueError(
+                            "differential does not respect the filtration")
+            if not is_zero_mat(mat_mul(d, d)):
+                raise ValueError("total differential does not square to zero")
+
+    def filtration_subspace(self, p):
+        vecs = []
+        for i, lev in enumerate(self.levels):
+            if lev >= p:
+                e = zero_vec(self.space.dim)
+                e[i] = Q1
+                vecs.append(e)
+        return Subspace(self.space.dim, vecs)
+
+    def quotient_by_level(self, lev):
+        """The quotient complex by F^lev, with the index map old → new."""
+        keep = [i for i, l in enumerate(self.levels) if l < lev]
+        comps = {}
+        for i in keep:
+            comps.setdefault(self.space.degrees[i], []).append(
+                self.space.labels[i])
+        qspace = GradedVectorSpace(comps)
+        index_map = {i: qspace.index(self.space.labels[i]) for i in keep}
+        d = self.differential.matrix
+        qd = zeros(qspace.dim, qspace.dim)
+        for c in keep:
+            for r in keep:
+                qd[index_map[r]][index_map[c]] = d[r][c]
+        qlevels = [0] * qspace.dim
+        for i in keep:
+            qlevels[index_map[i]] = self.levels[i]
+        qdiff = GradedMap(qspace, qspace, 1, qd)
+        return (FilteredTotalComplex(qspace, qdiff, qlevels, lev, check=False),
+                index_map)
 
 
 def cycle_space(ftc, p, n, r):
@@ -15,7 +75,7 @@ def cycle_space(ftc, p, n, r):
     Results are memoized on the complex: page constructions across r and
     quotient comparisons revisit the same (p, n, r) triples many times.
     """
-    cache = ftc.__dict__.setdefault("_cycle_cache", {})
+    cache = ftc._cycle_cache
     key = (p, n, r)
     hit = cache.get(key)
     if hit is not None:
@@ -38,7 +98,7 @@ def cycle_space(ftc, p, n, r):
 def boundary_space(ftc, p, n, r):
     """B_r at (p, n-p): d(Z_{r-1} one column left) plus Z_{r-1} one level
     deeper.  Memoized alongside the cycle spaces."""
-    cache = ftc.__dict__.setdefault("_boundary_cache", {})
+    cache = ftc._boundary_cache
     key = (p, n, r)
     hit = cache.get(key)
     if hit is not None:
@@ -136,7 +196,7 @@ def tgt_free_is_zero(page_obj, p, q, vec):
 
 
 def page(ftc, r):
-    cache = ftc.__dict__.setdefault("_page_cache", {})
+    cache = ftc._page_cache
     if r not in cache:
         cache[r] = SpectralPage(ftc, r)
     return cache[r]

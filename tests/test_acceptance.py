@@ -391,6 +391,6 @@ def random_filtered_complex(seed, dim=10, length=4):
         m[r][c] = F(rng.randint(-2, 2))
         if not is_zero_mat(mat_mul(m, m)):
             m[r][c] = F(0)
-    from ceformality.cecomplex import FilteredTotalComplex
+    from ceformality.specseq import FilteredTotalComplex
     d = GradedMap(v, v, 1, m)
     return FilteredTotalComplex(v, d, sorted_levels, length)

@@ -14,7 +14,7 @@ from ceformality.linf import (
     LInfinityAlgebra, LInfinityMorphism, ce_linf_self, coder_lift_block,
     compose_morphisms, decalage, decalage_conjugation, derived_brackets,
     exp_coderivation, identity_morphism, nr_bracket, set_partitions,
-    undecalage, validate_linf, validate_linf_morphism,
+    undecalage, validate_linf, validate_linf_morphism, _nr_column_matrix,
 )
 from ceformality.problems import load_problem
 from ceformality.specseq import page
@@ -274,7 +274,43 @@ def test_ce_linf_differential_squares_to_zero():
     assert is_zero_mat(mat_mul(d, d))
 
 
-@pytest.mark.parametrize("make", [sl2, two_step])
+def voronov5_brackets():
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "voronov5.json")
+    prob = load_problem(path)
+    alg, _ = derived_brackets(prob["algebra"], prob["subalgebra"],
+                              prob["derivation"], 5)
+    return alg
+
+
+@pytest.mark.parametrize("make, l", [
+    (voronov5_brackets, 5),
+    (lambda: decalage(fixture_algebra("endu"), 3), 3),
+    (lambda: decalage(fixture_algebra("sl2"), 4), 4),
+], ids=["voronov5", "endu_decalage", "sl2_decalage"])
+def test_ce_linf_differential_is_nr_bracket(make, l):
+    # block p → p+k−1 of the total differential is [q_k, −]_NR, computed
+    # through nr_bracket one basis map at a time; every other block is zero
+    alg = make()
+    ce = ce_linf_self(alg, l)
+    d = ce.total.differential.matrix
+    compared = 0
+    for p, src in enumerate(ce.columns):
+        for p2, dst in enumerate(ce.columns):
+            block = [[d[ce.global_index(p2, r)][ce.global_index(p, c)]
+                      for c in range(src.space.dim)]
+                     for r in range(dst.space.dim)]
+            k = p2 - p + 1
+            if k in alg.taylor:
+                assert block == _nr_column_matrix(alg, ce, p, k), (p, k)
+                compared += not is_zero_mat(block)
+            else:
+                assert is_zero_mat(block), (p, p2)
+    assert compared
+
+
+@pytest.mark.parametrize("make", [
+    sl2, two_step, lambda: fixture_algebra("endu")],
+    ids=["sl2", "two_step", "endu"])
 def test_shift_comparison_identities(make):
     _, rep = decalage_conjugation(make(), 3)
     assert rep["ok"], rep["columns"]

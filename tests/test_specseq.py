@@ -4,14 +4,14 @@ from fractions import Fraction
 import pytest
 
 from ceformality.cecomplex import (
-    CeBicomplex, FilteredTotalComplex, build_ce, pullback_matrix,
-    pushforward_matrix,
+    CeBicomplex, build_ce, pullback_matrix, pushforward_matrix,
 )
 from ceformality.dgla import DgLieAlgebra, adjoint_module, module_via_morphism
 from ceformality.graded import GradedMap, GradedVectorSpace
 from ceformality.linalg import Q1, rank, rref, zeros
 from ceformality.specseq import (
-    abutment_check, degenerates_at, page, page_map, quotient_compare, r_max,
+    FilteredTotalComplex, abutment_check, degenerates_at, page, page_map,
+    quotient_compare, r_max,
 )
 
 F = Fraction
