@@ -441,8 +441,8 @@ class LinfCeComplex(ColumnComplex):
         self.total = self._assemble(self._blocks(), shift=0, check=True)
 
     def _blocks(self):
-        """dα = Rα̂ − (−1)^{ᾱ} α Q̂ corestricted, as one block from column p
-        to each column j ≥ p that holds all basis maps α of column p."""
+        """dα = Rα̂ − (−1)^{ᾱ} α Q̂ corestricted, as one block per column
+        pair p ≤ j covering every basis map α of column p at once."""
         tgt = self.f.target
         # r_k(w ⊙ y) for every target basis vector w and weight-(k−1)
         # tuple y, as nonzero (row, entry) pairs
