@@ -20,7 +20,7 @@ from .linf import (
     compose_morphisms, exp_coderivation, identity_morphism, nr_bracket,
     validate_linf, validate_linf_morphism,
 )
-from .specseq import page
+from .specseq import cell_coordinates, page
 
 
 class InsufficientBounds(Exception):
@@ -76,15 +76,14 @@ def euler_class(obj, l):
         vec = _euler_vector(ce, alg=obj)
         cell = (1, -1)
         total = ce.total
-    pg = page(total, 2)
-    coords = pg.coordinates(*cell, vec)
+    coords = cell_coordinates(total, 2, *cell, vec)
     return {
         "computed_on": computed_on,
         "cell": cell,
         "page": 2,
         "vector": vec,
         "coordinates": coords,
-        "is_zero": pg.is_zero_class(*cell, vec),
+        "is_zero": all(c == 0 for c in coords),
         "complex": total,
     }
 
@@ -129,11 +128,10 @@ def obstruction_sequence(alg, l, r_max):
     entries = []
     first_nonzero = None
     for r in range(2, r_max + 1):
-        pg = page(ftc, r)
         target = (1 + r, -r)
         dvec = mat_vec(ftc.differential.matrix, rep)
-        coords = pg.coordinates(*target, dvec)
-        vanishes = pg.is_zero_class(*target, dvec)
+        coords = cell_coordinates(ftc, r, *target, dvec)
+        vanishes = all(c == 0 for c in coords)
         entries.append({"r": r, "cell": target, "coordinates": coords,
                         "is_zero": vanishes})
         if not vanishes:
@@ -354,7 +352,12 @@ def formality_verdict(obj, weight=5, columns=5):
             f"{verdict['stage'] + 1}")
     obs_l = min(columns, weight + 1)
     r_max = min(obs_l - 2, weight - 1)
-    obs = obstruction_sequence(w_alg, obs_l, r_max) if r_max >= 2 else None
+    obs = None
+    if r_max >= 2:
+        # a failed gauge has run the sequence already, maybe at these bounds
+        obs = verdict.get("obstructions")
+        if obs is None or (obs["columns"], obs["r_max"]) != (obs_l, r_max):
+            obs = obstruction_sequence(w_alg, obs_l, r_max)
     if obs is not None:
         if verdict["verdict"] == "NotFormal":
             if obs["first_nonzero"] != verdict["stage"] - 1:

@@ -90,6 +90,10 @@ def nr_bracket(f, g, ctx=None):
     arity = n + k - 1
     if ctx is None or ctx.bound < arity:
         ctx = SymContext(space, arity)
+    if not len(f.pb) or not len(g.pb):
+        # a map on an empty power basis is zero, and so is the bracket
+        # (mat_mul cannot tell the width of a product with no inner rows)
+        return PowerMap.zero(ctx.pb[arity], space, f.degree + g.degree)
     lift_g = coder_lift_block(g, ctx, arity)
     lift_f = coder_lift_block(f, ctx, arity)
     a = mat_mul(f.matrix, lift_g)

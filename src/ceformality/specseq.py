@@ -16,8 +16,8 @@ class FilteredTotalComplex:
 
     Every flat basis vector carries a level 0 ≤ level < length; F^p is the
     span of basis vectors of level ≥ p, and the differential never lowers
-    the level.  The cycle, boundary and page caches are filled by
-    ``cycle_space``, ``boundary_space`` and ``page``.
+    the level.  The cycle, boundary, cell and page caches are filled by
+    ``cycle_space``, ``boundary_space``, ``page_cell`` and ``page``.
     """
 
     def __init__(self, space, differential, levels, length, check=True):
@@ -27,6 +27,7 @@ class FilteredTotalComplex:
         self.length = length
         self._cycle_cache = {}
         self._boundary_cache = {}
+        self._cell_cache = {}
         self._page_cache = {}
         if check:
             d = differential.matrix
@@ -110,6 +111,36 @@ def boundary_space(ftc, p, n, r):
     return cache[key]
 
 
+def page_cell(ftc, r, p, q):
+    """Cell E_r^{p,q} as {"z": Z_r, "b": B_r, "quot": Z_r/B_r}, or None
+    when E_r^{p,q} = 0.  Memoized on the complex, so a full page and a
+    caller reading single cells share one computation per cell."""
+    cache = ftc._cell_cache
+    key = (r, p, q)
+    if key in cache:
+        return cache[key]
+    cell = None
+    if 0 <= p < ftc.length:
+        z = cycle_space(ftc, p, q + p, r)
+        if z.dim:
+            b = boundary_space(ftc, p, q + p, r)
+            quot = Quotient(z, b)
+            if quot.dim:
+                cell = {"z": z, "b": b, "quot": quot}
+    cache[key] = cell
+    return cell
+
+
+def cell_coordinates(ftc, r, p, q, vec):
+    """Coordinates of the class of the r-cycle ``vec`` in E_r^{p,q}
+    (empty when the cell is zero)."""
+    cell = page_cell(ftc, r, p, q)
+    z = cell["z"] if cell else cycle_space(ftc, p, q + p, r)
+    if not z.contains(vec):
+        raise ValueError("vector is not an r-cycle at this cell")
+    return cell["quot"].coordinates(vec) if cell else []
+
+
 class SpectralPage:
     """Page r of the spectral sequence of a filtered complex.
 
@@ -129,15 +160,9 @@ class SpectralPage:
         r = self.r
         for p in range(ftc.length):
             for n in ftc.space.degree_support():
-                q = n - p
-                z = cycle_space(ftc, p, n, r)
-                if z.dim == 0:
-                    continue
-                b = boundary_space(ftc, p, n, r)
-                quot = Quotient(z, b)
-                if quot.dim == 0:
-                    continue
-                self.cells[(p, q)] = {"z": z, "b": b, "quot": quot}
+                cell = page_cell(ftc, r, p, n - p)
+                if cell is not None:
+                    self.cells[(p, n - p)] = dict(cell)
         for (p, q), cell in self.cells.items():
             tgt = self.cells.get((p + r, q - r + 1))
             mat = zeros(tgt["quot"].dim if tgt else 0, cell["quot"].dim)
@@ -167,15 +192,7 @@ class SpectralPage:
 
     def coordinates(self, p, q, vec):
         """Coordinates of the class of ``vec`` in E_r^{p,q}."""
-        cell = self.cells.get((p, q))
-        if cell is None:
-            z = cycle_space(self.ftc, p, q + p, self.r)
-            if not z.contains(vec):
-                raise ValueError("vector is not an r-cycle at this cell")
-            return []
-        if not cell["z"].contains(vec):
-            raise ValueError("vector is not an r-cycle at this cell")
-        return cell["quot"].coordinates(vec)
+        return cell_coordinates(self.ftc, self.r, p, q, vec)
 
     def is_zero_class(self, p, q, vec):
         coords = self.coordinates(p, q, vec)

@@ -1,8 +1,11 @@
+import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from ceformality import formality, specseq
 from ceformality.dgla import DgLieAlgebra, cohomology_lie
 from ceformality.formality import (
     InsufficientBounds, euler_class, euler_power_map, formality_verdict,
@@ -17,6 +20,7 @@ from ceformality.linf import (
     LInfinityAlgebra, decalage, derived_brackets, exp_coderivation,
     nr_bracket, validate_linf, validate_linf_morphism,
 )
+from ceformality.problems import load_problem
 
 F = Fraction
 
@@ -28,12 +32,14 @@ def sl2():
          ("e", "f"): [("h", 1)]})
 
 
-def voronov_derived(bound=5):
+def voronov_derived(bound=5, n=3):
+    """Derived brackets of the Voronov family member n: [v_i, u] = −i v_{i−1}
+    for 1 ≤ i ≤ n, derivation v_n.  n = 3 is the shipped voronov5.json."""
+    v = [f"v{i}" for i in range(n + 1)]
     amb = DgLieAlgebra.from_data(
-        {0: ["u"], 1: ["v0", "v1", "v2", "v3"]}, {},
-        {("v1", "u"): [("v0", -1)], ("v2", "u"): [("v1", -2)],
-         ("v3", "u"): [("v2", -3)]})
-    alg, _ = derived_brackets(amb, ["v1", "v2", "v3"], "v3", bound)
+        {0: ["u"], 1: v}, {},
+        {(v[i], "u"): [(v[i - 1], -i)] for i in range(1, n + 1)})
+    alg, _ = derived_brackets(amb, v[1:], v[n], bound)
     return alg
 
 
@@ -223,3 +229,51 @@ def test_kaledin_class_vanishes_for_quadratic():
     res = kaledin_class(decalage(sl2(), 5), 5, 3)
     assert all(res["identities"].values())
     assert res["class_is_zero"]
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Counts full spectral pages built and obstruction sequences run."""
+    calls = Counter()
+    init = specseq.SpectralPage.__init__
+    sequence = formality.obstruction_sequence
+
+    def counting_init(self, ftc, r):
+        calls["pages"] += 1
+        init(self, ftc, r)
+
+    def counting_sequence(*args):
+        calls["obstruction_sequence"] += 1
+        return sequence(*args)
+
+    monkeypatch.setattr(specseq.SpectralPage, "__init__", counting_init)
+    monkeypatch.setattr(formality, "obstruction_sequence", counting_sequence)
+    return calls
+
+
+def test_verdict_reuses_the_gauge_obstruction_sequence(counted):
+    # the gauge fails at stage 4 and runs the sequence at (5, 3), the
+    # cross-check's own bounds at weight 4, columns 5
+    res = formality_verdict(voronov_derived(4, n=4), 4, 5)
+    assert res["verdict"] == "NotFormal" and res["stage"] == 4
+    assert res["obstruction_check"] is res["obstructions"]
+    assert (res["obstructions"]["columns"], res["obstructions"]["r_max"]) \
+        == (5, 3)
+    assert counted == {"obstruction_sequence": 1}
+
+
+def test_verdict_recomputes_the_sequence_at_other_bounds(counted):
+    # voronov5.json's defaults: the gauge runs (4, 2), the cross-check (5, 3)
+    res = formality_verdict(voronov_derived(5), 5, 5)
+    assert res["verdict"] == "NotFormal" and res["stage"] == 3
+    assert res["obstruction_check"]["first_nonzero"] == 2
+    assert counted == {"obstruction_sequence": 2}
+
+
+def test_euler_class_builds_no_page(counted):
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "endu.json")
+    res = euler_class(load_problem(path)["algebra"], 4)
+    assert res["cell"] == (1, 0) and len(res["coordinates"]) > 0
+    assert counted == {}
+    specseq.page(res["complex"], 2)
+    assert counted == {"pages": 1}

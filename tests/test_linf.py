@@ -9,7 +9,7 @@ from ceformality.formality import minimal_model
 from ceformality.graded import (
     GradedVectorSpace, PowerBasis, PowerMap, SYMMETRIC,
 )
-from ceformality.linalg import is_zero_mat, is_zero_vec, mat_mul, zeros
+from ceformality.linalg import Q0, Q1, is_zero_mat, is_zero_vec, mat_mul, zeros
 from ceformality.linf import (
     LInfinityAlgebra, LInfinityMorphism, ce_linf_self, coder_lift_block,
     compose_morphisms, decalage, decalage_conjugation, derived_brackets,
@@ -280,6 +280,20 @@ def voronov5_brackets():
     alg, _ = derived_brackets(prob["algebra"], prob["subalgebra"],
                               prob["derivation"], 5)
     return alg
+
+
+def test_nr_bracket_on_an_empty_power_basis_is_zero():
+    # sl2's décalage is odd, so it has no weight-4 tuples: q₄ is a map on an
+    # empty power basis and [q₄, α] must be the zero map of full width
+    alg = decalage(sl2(), 4)
+    assert len(alg.ctx.pb[4]) == 0 and len(alg.ctx.pb[3]) == 1
+    ce = ce_linf_self(alg, 4)
+    m = _nr_column_matrix(alg, ce, 0, 4)
+    assert len(m) == ce.columns[3].space.dim and is_zero_mat(m)
+    alpha = PowerMap(alg.ctx.pb[0], alg.space, -1, [[Q1], [Q0], [Q0]])
+    for br in (nr_bracket(alg.q(4), alpha, alg.ctx),
+               nr_bracket(alpha, alg.q(4), alg.ctx)):
+        assert br.arity == 3 and br.matrix == zeros(3, 1)
 
 
 @pytest.mark.parametrize("make, l", [

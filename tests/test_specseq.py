@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -9,9 +10,11 @@ from ceformality.cecomplex import (
 from ceformality.dgla import DgLieAlgebra, adjoint_module, module_via_morphism
 from ceformality.graded import GradedMap, GradedVectorSpace
 from ceformality.linalg import Q1, rank, rref, zeros
+from ceformality.linf import ce_linf_self, decalage
+from ceformality.problems import load_problem
 from ceformality.specseq import (
-    FilteredTotalComplex, abutment_check, degenerates_at, page, page_map,
-    quotient_compare, r_max,
+    FilteredTotalComplex, abutment_check, cell_coordinates, degenerates_at,
+    page, page_cell, page_map, quotient_compare, r_max,
 )
 
 F = Fraction
@@ -216,3 +219,44 @@ def test_quasi_isomorphism_pages_match_dimensionwise():
         pb = page(ftc_big, r)
         for cell in set(ps.cells) | set(pb.cells):
             assert ps.dim(*cell) == pb.dim(*cell), (r, cell)
+
+
+def fixture_algebra(name):
+    path = os.path.join(os.path.dirname(__file__), "fixtures", name + ".json")
+    return load_problem(path)["algebra"]
+
+
+def quadcone_total(l):
+    alg = fixture_algebra("quadcone")
+    return CeBicomplex(alg, adjoint_module(alg), l).total
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ce_linf_self(decalage(fixture_algebra("endu"), 4), 4).total,
+    lambda: quadcone_total(4),
+], ids=["endu_decalage", "quadcone"])
+def test_lazy_cells_equal_full_page_cells(make):
+    lazy, full = make(), make()
+    keys = [(r, p, n - p) for r in range(r_max(full) + 1)
+            for p in range(-1, full.length + 1)
+            for n in full.space.degree_support()]
+    # read in reverse, so the lazy caches fill in another order than a page's
+    cells = {key: page_cell(lazy, *key) for key in reversed(keys)}
+    assert lazy._page_cache == {}
+    populated = 0
+    for r, p, q in keys:
+        pg = page(full, r)
+        cell = cells[(r, p, q)]
+        if (p, q) not in pg.cells:
+            assert cell is None and pg.dim(p, q) == 0, (r, p, q)
+            continue
+        want = pg.cells[(p, q)]
+        assert cell["z"].basis == want["z"].basis, (r, p, q)
+        assert cell["b"].basis == want["b"].basis, (r, p, q)
+        assert cell["quot"].reps == want["quot"].reps, (r, p, q)
+        for i, rep in enumerate(pg.representatives(p, q)):
+            unit = [int(j == i) for j in range(pg.dim(p, q))]
+            assert cell_coordinates(lazy, r, p, q, rep) == unit
+            assert pg.coordinates(p, q, rep) == unit
+        populated += 1
+    assert populated
