@@ -10,9 +10,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .cecomplex import build_ce
 from .dgla import (
-    adjoint_module, cohomology_lie, dgla_is_valid, validate_dgla,
+    DgLieAlgebra, cohomology_lie, dgla_is_valid, validate_dgla,
     validate_morphism,
 )
 from .formality import (
@@ -20,7 +19,7 @@ from .formality import (
     minimal_model, obstruction_sequence, transfer_criterion,
 )
 from .linf import (
-    ce_linf_self, decalage, derived_brackets, validate_linf,
+    ce_linf_self, derived_brackets, linf_structure, validate_linf,
 )
 from .mc import TruncatedElement, mc_check, mc_lift, quadraticity_check
 from .problems import ProblemError, format_rational, load_problem
@@ -101,7 +100,9 @@ def _taylor_table(alg):
     return table
 
 
-def _page_table(ftc, max_page):
+def _page_table(ftc, max_page, q_shift):
+    """Nonzero cell dimensions of pages 1..max_page, each cell (p, q)
+    labelled (p, q + q_shift)."""
     top = min(max_page, page_bound(ftc))
     table = {}
     for r in range(1, top + 1):
@@ -110,7 +111,7 @@ def _page_table(ftc, max_page):
         for (p, q) in sorted(pg.cells):
             d = pg.dim(p, q)
             if d:
-                cells[f"({p},{q})"] = d
+                cells[f"({p},{q + q_shift})"] = d
         table[f"E{r}"] = cells
     return table
 
@@ -131,12 +132,7 @@ def _algebra(problem, weight):
 
 
 def _minimal_of(problem, weight):
-    alg = _algebra(problem, weight)
-    from .dgla import DgLieAlgebra
-    if isinstance(alg, DgLieAlgebra):
-        v = decalage(alg, weight)
-    else:
-        v = alg
+    v = linf_structure(_algebra(problem, weight), weight)
     if v.is_minimal():
         return v
     return minimal_model(v, weight)["minimal"]
@@ -211,11 +207,13 @@ def run(args):
 
     if cmd == "ce-pages":
         alg = _algebra(problem, args.weight)
-        if kind in ("linf", "voronov"):
-            ftc = ce_linf_self(alg, args.columns).total
-        else:
-            ftc = build_ce(alg, adjoint_module(alg), args.columns)
-        report["pages"] = _page_table(ftc, args.max_page)
+        # a dg-Lie algebra's pages are read on the coderivation complex of
+        # its décalage, whose cell (p, q) is the CE cell (p, q + 1)
+        q_shift = int(isinstance(alg, DgLieAlgebra))
+        if q_shift:
+            alg = linf_structure(alg, max(args.columns - 1, 2))
+        ftc = ce_linf_self(alg, args.columns).total
+        report["pages"] = _page_table(ftc, args.max_page, q_shift)
         return emit(report, args.format)
 
     if cmd == "euler":
@@ -235,10 +233,7 @@ def run(args):
         return emit(report, args.format)
 
     if cmd == "minimal-model":
-        alg = _algebra(problem, args.weight)
-        from .dgla import DgLieAlgebra
-        v = decalage(alg, args.weight) if isinstance(alg, DgLieAlgebra) \
-            else alg
+        v = linf_structure(_algebra(problem, args.weight), args.weight)
         mm = minimal_model(v, args.weight)
         w = mm["minimal"]
         report["dimensions"] = {

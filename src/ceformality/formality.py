@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from .cecomplex import pushforward_matrix
 from .dgla import (
-    CochainComplex, DgLieAlgebra, adjoint_module, cohomology, cohomology_lie,
-    module_via_morphism, validate_morphism,
+    CochainComplex, DgLieAlgebra, cohomology, cohomology_lie,
+    validate_morphism,
 )
 from .graded import GradedMap, PowerMap
 from .linalg import (
@@ -16,11 +16,11 @@ from .linalg import (
     solve_right, vec_sub, zero_vec, zeros,
 )
 from .linf import (
-    LInfinityAlgebra, LInfinityMorphism, ce_linf_self, coder_lift_block,
-    compose_morphisms, exp_coderivation, identity_morphism, nr_bracket,
-    validate_linf, validate_linf_morphism,
+    LInfinityAlgebra, LInfinityMorphism, LinfCeComplex, ce_linf_self,
+    coder_lift_block, compose_morphisms, exp_coderivation, identity_morphism,
+    linf_structure, nr_bracket, validate_linf, validate_linf_morphism,
 )
-from .specseq import cell_coordinates, page
+from .specseq import cell_coordinates, page, page_map
 
 
 class InsufficientBounds(Exception):
@@ -47,36 +47,29 @@ def _euler_vector(ce, alg):
 def euler_class(obj, l):
     """Page-2 class of the Euler derivation.
 
-    For a graded Lie algebra (zero differential) the representative is
-    x ↦ deg(x)·x at cell (1, 0); for a minimal truncated structure it is
-    v ↦ (v̄+1)v at cell (1, −1).  Inputs with a nonzero linear part are
-    replaced by their cohomology / minimal model first, since only there
-    does the diagonal map represent a page class.
+    For a minimal truncated structure the representative is v ↦ (v̄+1)v
+    at cell (1, −1).  A graded Lie algebra (zero differential) is read on
+    its décalage, where that map is x ↦ deg(x)·x; its cell is reported in
+    CE degrees, as (1, 0).  Inputs with a nonzero linear part are replaced
+    by their cohomology / minimal model first, since only there does the
+    diagonal map represent a page class.
     """
     if l < 2:
         raise ValueError("need at least two columns")
     computed_on = "input"
+    cell = (1, -1)
     if isinstance(obj, DgLieAlgebra):
         if not obj.differential.is_zero():
             obj, _con = cohomology_lie(obj)
             computed_on = "cohomology"
-        from .cecomplex import CeBicomplex
-        bi = CeBicomplex(obj, adjoint_module(obj), l)
-        total = bi.total
-        vec = zero_vec(total.space.dim)
-        for i in range(obj.space.dim):
-            loc = bi.columns[1].index(i, i)
-            vec[bi.global_index(1, loc)] = Q1 * obj.space.degrees[i]
+        obj = linf_structure(obj, max(l - 1, 2))
         cell = (1, 0)
-    else:
-        if not obj.is_minimal():
-            obj = minimal_model(obj, obj.bound)["minimal"]
-            computed_on = "minimal_model"
-        ce = ce_linf_self(obj, l)
-        vec = _euler_vector(ce, alg=obj)
-        cell = (1, -1)
-        total = ce.total
-    coords = cell_coordinates(total, 2, *cell, vec)
+    elif not obj.is_minimal():
+        obj = minimal_model(obj, obj.bound)["minimal"]
+        computed_on = "minimal_model"
+    ce = ce_linf_self(obj, l)
+    vec = _euler_vector(ce, alg=obj)
+    coords = cell_coordinates(ce.total, 2, 1, -1, vec)
     return {
         "computed_on": computed_on,
         "cell": cell,
@@ -84,7 +77,7 @@ def euler_class(obj, l):
         "vector": vec,
         "coordinates": coords,
         "is_zero": all(c == 0 for c in coords),
-        "complex": total,
+        "complex": ce.total,
     }
 
 
@@ -333,15 +326,11 @@ def formality_verdict(obj, weight=5, columns=5):
     """Full pipeline: shift to a truncated structure if needed, transfer to
     the minimal model, gauge-reduce, and cross-check the verdict against
     the obstruction sequence within the column bound."""
-    from .linf import decalage
     if weight < 3 or columns < 4:
         raise InsufficientBounds("need weight >= 3 and columns >= 4")
-    if isinstance(obj, DgLieAlgebra):
-        v_alg = decalage(obj, weight)
-    else:
-        v_alg = obj
-        if v_alg.bound < weight:
-            raise InsufficientBounds("weight bound exceeds the structure's")
+    v_alg = linf_structure(obj, weight)
+    if v_alg.bound < weight:
+        raise InsufficientBounds("weight bound exceeds the structure's")
     mm = minimal_model(v_alg, weight)
     w_alg = mm["minimal"]
     verdict = gauge_reduce(w_alg, weight)
@@ -376,8 +365,12 @@ def formality_verdict(obj, weight=5, columns=5):
 def transfer_criterion(fmap, src, tgt, columns, m_formal_assumed=False):
     """Injectivity of the induced page-2 map on cells (p, 2−p), 3 ≤ p < l.
 
-    When all the maps are injective and the target is declared formal, the
-    source is formal as well; otherwise the criterion is inconclusive.
+    The map is postcomposition with the morphism φ that ``fmap`` induces on
+    cohomology, from the coderivation complex of dec(H L) to the one along
+    φ: dec(H L) → dec(H M), where dec is the décalage; its cell (p, 1−p)
+    is the CE cell (p, 2−p).  When all the maps are injective and the
+    target is declared formal, the source is formal as well; otherwise the
+    criterion is inconclusive.
     """
     if columns < 4:
         raise InsufficientBounds("need columns >= 4")
@@ -391,18 +384,17 @@ def transfer_criterion(fmap, src, tgt, columns, m_formal_assumed=False):
     check = validate_morphism(phi, hl, hm)
     if not check["ok"]:
         raise AssertionError("induced map on cohomology is not a morphism")
-    mod_self = adjoint_module(hl)
-    mod_f = module_via_morphism(phi, hl, hm)
-    from .cecomplex import CeBicomplex
-    bi1 = CeBicomplex(hl, mod_self, columns)
-    bi2 = CeBicomplex(hl, mod_f, columns)
-    fmat = pushforward_matrix(phi, bi1, bi2)
-    from .specseq import page_map
-    maps = page_map(bi1.total, bi2.total, fmat, 2)
-    pg = page(bi1.total, 2)
+    dec_l = linf_structure(hl, columns - 1)
+    dec_m = linf_structure(hm, columns - 1)
+    ce_self = ce_linf_self(dec_l, columns)
+    ce_phi = LinfCeComplex(
+        LInfinityMorphism.from_linear(dec_l, dec_m, induced), columns)
+    fmat = pushforward_matrix(phi, ce_self, ce_phi)
+    maps = page_map(ce_self.total, ce_phi.total, fmat, 2)
+    pg = page(ce_self.total, 2)
     results = []
     for p in range(3, columns):
-        cell = (p, 2 - p)
+        cell = (p, 1 - p)
         dim_src = pg.dim(*cell)
         m = maps.get(cell)
         inj = dim_src == 0 or (m is not None and rank(m) == dim_src)

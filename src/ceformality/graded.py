@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, compress
 
 from .linalg import Q0, identity, is_zero_mat, mat_add, mat_mul, mat_vec, zeros
 
@@ -138,10 +138,12 @@ class GradedMap:
 
     @staticmethod
     def _homogeneity_violation(source, target, degree, matrix):
-        for r in range(target.dim):
-            for c in range(source.dim):
-                if matrix[r][c] != 0 and \
-                        target.degrees[r] != source.degrees[c] + degree:
+        """The first (row label, column label) of a nonzero entry between
+        incompatible degrees, reading only the nonzero entries."""
+        for r, row in enumerate(matrix):
+            want = target.degrees[r] - degree
+            for c in compress(range(source.dim), row):
+                if source.degrees[c] != want:
                     return (target.labels[r], source.labels[c])
         return None
 

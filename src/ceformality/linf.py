@@ -187,6 +187,21 @@ def decalage(alg_l, bound):
     return LInfinityAlgebra(v, taylor, bound)
 
 
+def linf_structure(obj, weight):
+    """The truncated L∞[1]-algebra the engine reads off ``obj`` at weight
+    bound ``weight``: the décalage of a dg-Lie algebra, or an L∞[1]-algebra
+    with its q_n for n > weight dropped."""
+    if weight < 2:
+        raise ValueError(f"weight bound {weight} is below 2")
+    if isinstance(obj, DgLieAlgebra):
+        return decalage(obj, weight)
+    if obj.bound <= weight:
+        return obj
+    return LInfinityAlgebra(
+        obj.space, {n: q for n, q in obj.taylor.items() if n <= weight},
+        weight)
+
+
 def undecalage(alg_v):
     """Inverse of the shift: requires all q_n (n ≥ 3) to vanish."""
     for n in alg_v.taylor:
@@ -439,6 +454,8 @@ class LinfCeComplex(ColumnComplex):
         self.f = f
         self.l = l
         src, tgt = f.source, f.target
+        if l < 1:
+            raise ValueError("column bound must be at least 1")
         if l > src.bound + 1:
             raise ValueError("column bound exceeds the weight bound")
         self.columns = [HomColumn(src, tgt, src.ctx.pb[p]) for p in range(l)]

@@ -4,10 +4,12 @@ quotient-filtration comparison."""
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .graded import GradedMap, GradedVectorSpace
 from .linalg import (
-    Q1, Quotient, Subspace, block_kernel, is_zero_mat, is_zero_vec, mat_mul,
-    mat_vec, rank, zero_vec, zeros,
+    Q1, Quotient, Subspace, block_kernel, is_zero_vec, mat_vec, rank,
+    zero_vec, zeros,
 )
 
 
@@ -30,14 +32,23 @@ class FilteredTotalComplex:
         self._cell_cache = {}
         self._page_cache = {}
         if check:
+            # filtration, then d² = 0, from the nonzero entries of each row
             d = differential.matrix
-            for c in range(space.dim):
-                for r in range(space.dim):
-                    if d[r][c] != 0 and self.levels[r] < self.levels[c]:
-                        raise ValueError(
-                            "differential does not respect the filtration")
-            if not is_zero_mat(mat_mul(d, d)):
-                raise ValueError("total differential does not square to zero")
+            levels = self.levels
+            support = [list(compress(range(space.dim), row)) for row in d]
+            for r, cols in enumerate(support):
+                if any(levels[r] < levels[c] for c in cols):
+                    raise ValueError(
+                        "differential does not respect the filtration")
+            for row, cols in zip(d, support):
+                acc = {}
+                for k in cols:
+                    x, drow = row[k], d[k]
+                    for c in support[k]:
+                        acc[c] = acc.get(c, 0) + x * drow[c]
+                if any(acc.values()):
+                    raise ValueError(
+                        "total differential does not square to zero")
 
     def filtration_subspace(self, p):
         vecs = []

@@ -4,11 +4,14 @@ import pytest
 
 from ceformality.cecomplex import (
     CeBicomplex, HomColumn, build_ce, ce_delta, ce_delta_bar,
-    ce_first_page_check, pullback_matrix, pushforward_matrix,
+    ce_first_page_check, pushforward_matrix,
 )
 from ceformality.dgla import DgLieAlgebra, adjoint_module, module_via_morphism
 from ceformality.graded import GradedMap
 from ceformality.linalg import Q1, is_zero_mat, mat_mul, mat_vec, zero_vec
+from ceformality.linf import (
+    LInfinityMorphism, LinfCeComplex, ce_linf_self, decalage,
+)
 
 F = Fraction
 
@@ -188,15 +191,21 @@ def test_first_page_check_acyclic_plus_point():
     assert by_cell[(1, 0)]["e1_dim"] == 1
 
 
-def test_pushforward_pullback_are_filtered_chain_maps():
+def test_pushforward_is_a_filtered_chain_map():
     L = affine2()
     f = GradedMap.identity_map(L.space)
     mod = module_via_morphism(f, L, L)
-    ce_ll = CeBicomplex(L, adjoint_module(L), 3)
-    ce_lm = CeBicomplex(L, mod, 3)
-    push = pushforward_matrix(f, ce_ll, ce_lm)
-    pull = pullback_matrix(f, ce_ll, ce_lm)
-    d_src = ce_ll.total.differential.matrix
-    d_dst = ce_lm.total.differential.matrix
-    for mat in (push, pull):
-        assert mat_mul(mat, d_src) == mat_mul(d_dst, mat)
+    # the projection onto the abelian quotient spanned by h, acting on the
+    # coderivation complexes of the décalages
+    ab = DgLieAlgebra.from_data({0: ["h"]}, {}, {})
+    proj = GradedMap(L.space, ab.space, 0, [[Q1, F(0)]])
+    dec_l, dec_ab = decalage(L, 2), decalage(ab, 2)
+    cases = [
+        (f, CeBicomplex(L, adjoint_module(L), 3), CeBicomplex(L, mod, 3)),
+        (proj, ce_linf_self(dec_l, 3), LinfCeComplex(
+            LInfinityMorphism.from_linear(dec_l, dec_ab, proj.matrix), 3)),
+    ]
+    for g, src, dst in cases:
+        push = pushforward_matrix(g, src, dst)
+        assert mat_mul(push, src.total.differential.matrix) == \
+            mat_mul(dst.total.differential.matrix, push)

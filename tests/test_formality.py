@@ -205,6 +205,22 @@ def test_transfer_identity_map_is_injective():
     assert "formal" in res["conclusion"]
 
 
+@pytest.mark.parametrize("columns", [4, 5, 6])
+@pytest.mark.parametrize("endo,injective", [
+    (GradedMap.identity_map, True),
+    (lambda space: GradedMap.zero(space, space, 0), False)],
+    ids=["identity", "zero"])
+def test_transfer_on_quadcone_endomorphisms(endo, injective, columns):
+    path = os.path.join(os.path.dirname(__file__), "fixtures",
+                        "quadcone.json")
+    alg = load_problem(path)["algebra"]
+    res = transfer_criterion(endo(alg.space), alg, alg, columns)
+    assert res["injectivity"] == [
+        {"p": p, "dim_source": 1, "injective": injective}
+        for p in range(3, columns)]
+    assert res["all_injective"] is injective
+
+
 def test_transfer_rejects_non_morphism():
     src, tgt = sl2(), two_step()
     fmap = GradedMap.zero(src.space, tgt.space, 0)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from ceformality.cecomplex import (
-    CeBicomplex, build_ce, pullback_matrix, pushforward_matrix,
+    CeBicomplex, build_ce, pushforward_matrix,
 )
 from ceformality.dgla import DgLieAlgebra, adjoint_module, module_via_morphism
 from ceformality.graded import GradedMap, GradedVectorSpace
