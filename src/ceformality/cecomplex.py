@@ -102,12 +102,6 @@ class ColumnComplex:
         return self._glob[p][local]
 
 
-def ce_delta_bar(alg, mod, p):
-    """Matrix of the vertical differential on Hom*(L^∧p, M)."""
-    col = form_column(alg, mod, p)
-    return ce_delta_bar_on(col), col
-
-
 def ce_delta_bar_on(col):
     """(δ̄φ)(s) = d_M φ(s) − Σ_i (−1)^{φ̄+|s₀…s_{i−1}|} φ(s₀, …, ds_i, …),
     built in one pass over the row tuples s: each term lands in the column
@@ -138,13 +132,6 @@ def ce_delta_bar_on(col):
                         parity_sign(mdeg[w] - tdeg + prefix) * sign * c
             prefix += L.space.degrees[si]
     return m
-
-
-def ce_delta(alg, mod, p):
-    """Matrix of the horizontal differential Hom*(L^∧p,M) → Hom*(L^∧(p+1),M)."""
-    src = form_column(alg, mod, p)
-    dst = form_column(alg, mod, p + 1)
-    return ce_delta_on(src, dst), src, dst
 
 
 def ce_delta_on(src, dst):

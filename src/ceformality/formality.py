@@ -16,15 +16,12 @@ from .linalg import (
     solve_right, vec_sub, zero_vec, zeros,
 )
 from .linf import (
-    LInfinityAlgebra, LInfinityMorphism, LinfCeComplex, ce_linf_self,
-    coder_lift_block, compose_morphisms, exp_coderivation, identity_morphism,
-    linf_structure, nr_bracket, validate_linf, validate_linf_morphism,
+    InsufficientBounds, LInfinityAlgebra, LInfinityMorphism, LinfCeComplex,
+    ce_linf_self, coder_lift_block, compose_morphisms, exp_coderivation,
+    identity_morphism, linf_structure, nr_bracket, validate_linf,
+    validate_linf_morphism,
 )
 from .specseq import cell_coordinates, page, page_map
-
-
-class InsufficientBounds(Exception):
-    """A verdict would require larger weight/column bounds than given."""
 
 
 def euler_power_map(alg):
@@ -329,8 +326,6 @@ def formality_verdict(obj, weight=5, columns=5):
     if weight < 3 or columns < 4:
         raise InsufficientBounds("need weight >= 3 and columns >= 4")
     v_alg = linf_structure(obj, weight)
-    if v_alg.bound < weight:
-        raise InsufficientBounds("weight bound exceeds the structure's")
     mm = minimal_model(v_alg, weight)
     w_alg = mm["minimal"]
     verdict = gauge_reduce(w_alg, weight)

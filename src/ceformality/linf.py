@@ -6,7 +6,7 @@ coalgebra, relative coderivation complexes, and higher derived brackets."""
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 
 from .cecomplex import (
     ColumnComplex, HomColumn, ce_delta_bar_on, ce_delta_on, form_column,
@@ -20,6 +20,10 @@ from .linalg import (
     Q1, identity, is_zero_mat, is_zero_vec, mat_add, mat_mul, mat_sub,
     zero_vec, zeros,
 )
+
+
+class InsufficientBounds(Exception):
+    """A computation would require larger weight/column bounds than given."""
 
 
 class SymContext:
@@ -190,12 +194,17 @@ def decalage(alg_l, bound):
 def linf_structure(obj, weight):
     """The truncated L∞[1]-algebra the engine reads off ``obj`` at weight
     bound ``weight``: the décalage of a dg-Lie algebra, or an L∞[1]-algebra
-    with its q_n for n > weight dropped."""
+    with its q_n for n > weight dropped.  A weight above the bound an
+    L∞[1]-algebra was declared with is refused: its q_n there are unknown."""
     if weight < 2:
         raise ValueError(f"weight bound {weight} is below 2")
     if isinstance(obj, DgLieAlgebra):
         return decalage(obj, weight)
-    if obj.bound <= weight:
+    if obj.bound < weight:
+        raise InsufficientBounds(
+            f"weight bound {weight} exceeds the input's declared weight "
+            f"bound {obj.bound}")
+    if obj.bound == weight:
         return obj
     return LInfinityAlgebra(
         obj.space, {n: q for n, q in obj.taylor.items() if n <= weight},
@@ -221,20 +230,6 @@ def undecalage(alg_v):
             m[r][c] = sgn * val[r]
     bracket = PowerMap(pb, lspace, 0, m)
     return DgLieAlgebra(lspace, GradedMap(lspace, lspace, 1, d), bracket)
-
-
-def set_partitions(items):
-    """All partitions of a list into unordered blocks (each block is a tuple
-    in input order, blocks ordered by first element)."""
-    items = list(items)
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in set_partitions(rest):
-        yield [(first,)] + part
-        for i in range(len(part)):
-            yield part[:i] + [(first,) + part[i]] + part[i + 1:]
 
 
 class LInfinityMorphism:
@@ -288,43 +283,44 @@ class LInfinityMorphism:
         return out
 
     def _evaluate(self, tup):
-        src, tgt = self.source, self.target
-        sctx, tctx = src.ctx, tgt.ctx
+        """Σ_B ε · f¹_{|B|}(x_B) ⊙ f(x_rest) over the blocks B ∋ 0: each set
+        partition has exactly one block holding the first argument, and
+        f(x_rest), on a shorter tuple, comes from the memo."""
+        sctx, tctx = self.source.ctx, self.target.ctx
         n = len(tup)
         out = zero_vec(tctx.dim)
         if n == 0:
             out[tctx.index(0, 0)] = Q1
             return out
-        degs = [src.space.degrees[i] for i in tup]
-        for part in set_partitions(range(n)):
-            j = len(part)
-            if j > tctx.bound:
+        degs = [self.source.space.degrees[i] for i in tup]
+        for k, comp in self.components.items():
+            if k > n:
                 continue
-            # a missing component or a zero factor kills the whole product
-            factors = []
-            for block in part:
-                comp = self.components.get(len(block))
-                if comp is None:
-                    break
-                pb = sctx.pb[len(block)]
+            # the tail f(x_rest) has weight ≤ n − k, and the product one more
+            stop = tctx.weight_slice(min(n - k, tctx.bound - 1)).stop
+            pb = sctx.pb[k]
+            for sel in combinations(range(1, n), k - 1):
+                block = (0,) + sel
                 sign, canon = pb.normalize(tuple(tup[i] for i in block))
-                if sign == 0:
-                    break
+                if not sign:
+                    continue
                 c = pb.index(canon)
-                vec = [(r, row[c] if sign > 0 else -row[c])
-                       for r, row in enumerate(comp) if row[c]]
-                if not vec:
-                    break
-                factors.append(vec)
-            else:
-                perm = [i for block in part for i in block]
-                eps = koszul_sign(degs, perm, antisymmetric=False)
-                for coeff, otup in _expand_product(factors):
-                    sign, canon = tctx.pb[j].normalize(otup)
-                    if sign == 0:
-                        continue
-                    out[tctx.index(j, tctx.pb[j].index(canon))] += \
-                        eps * coeff * sign
+                head = [(a, row[c]) for a, row in enumerate(comp) if row[c]]
+                if not head:
+                    continue
+                rest = tuple(i for i in range(1, n) if i not in sel)
+                eps = sign * koszul_sign(degs, block + rest)
+                tail_val = self.component_value(tuple(tup[i] for i in rest))
+                for pos in compress(range(stop), tail_val):
+                    j, t_pos = tctx.flat[pos]
+                    x = eps * tail_val[pos]
+                    tail = tctx.pb[j].elements[t_pos]
+                    pb_out = tctx.pb[j + 1]
+                    for a, y in head:
+                        s_out, t_out = pb_out.normalize((a,) + tail)
+                        if s_out:
+                            out[tctx.index(j + 1, pb_out.index(t_out))] += \
+                                s_out * x * y
         return out
 
     def big_matrix(self):
@@ -338,16 +334,6 @@ class LInfinityMorphism:
                     m[r][c] = val[r]
             self._big = m
         return self._big
-
-
-def _expand_product(factors):
-    """Expand a ⊙-product of weight-1 vectors, each given as its nonzero
-    (index, entry) pairs, into (coeff, index tuple)."""
-    terms = [(Q1, ())]
-    for vec in factors:
-        terms = [(coeff * ca, tup + (a,))
-                 for coeff, tup in terms for a, ca in vec]
-    return terms
 
 
 def validate_linf_morphism(f):

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from ceformality.cecomplex import (
-    CeBicomplex, HomColumn, build_ce, ce_delta, ce_delta_bar,
-    ce_first_page_check, pushforward_matrix,
+    CeBicomplex, HomColumn, build_ce, ce_delta_bar_on, ce_delta_on,
+    ce_first_page_check, form_column, pushforward_matrix,
 )
 from ceformality.dgla import DgLieAlgebra, adjoint_module, module_via_morphism
 from ceformality.graded import GradedMap
@@ -35,7 +35,8 @@ def unit(n, i):
 def test_delta_bar_p0_is_module_differential():
     L = contractible2()
     mod = adjoint_module(L)
-    mat, col = ce_delta_bar(L, mod, 0)
+    col = form_column(L, mod, 0)
+    mat = ce_delta_bar_on(col)
     # on the p=0 column the vertical differential is just d_M
     for m_idx in range(2):
         c = col.index(0, m_idx)
@@ -52,8 +53,7 @@ def test_delta_bar_zero_when_differentials_vanish():
     L = affine2()
     mod = adjoint_module(L)
     for p in range(3):
-        mat, _ = ce_delta_bar(L, mod, p)
-        assert is_zero_mat(mat)
+        assert is_zero_mat(ce_delta_bar_on(form_column(L, mod, p)))
 
 
 def test_delta_bar_is_hom_complex_differential():
@@ -61,7 +61,8 @@ def test_delta_bar_is_hom_complex_differential():
     # on Hom(L, L) the vertical differential must be φ ↦ d∘φ − (−1)^{φ̄} φ∘d
     L = contractible2()
     mod = adjoint_module(L)
-    mat, col = ce_delta_bar(L, mod, 1)
+    col = form_column(L, mod, 1)
+    mat = ce_delta_bar_on(col)
     n = col.space.dim
     assert n == 4
     for t_pos in range(2):
@@ -87,7 +88,9 @@ def test_delta_on_identity_gives_bracket():
     # (δ Id)(x, y) = (−1)^{x̄ȳ}[y, x] = −[x, y] for even arguments
     L = affine2()
     mod = adjoint_module(L)
-    mat, src, dst = ce_delta(L, mod, 1)
+    src = form_column(L, mod, 1)
+    dst = form_column(L, mod, 2)
+    mat = ce_delta_on(src, dst)
     phi = zero_vec(src.space.dim)
     phi[src.index(0, 0)] = Q1  # h => h
     phi[src.index(1, 1)] = Q1  # e => e
@@ -100,7 +103,9 @@ def test_delta_p0_formula():
     # (δ m)(x) = (−1)^{m̄} [m, x]
     L = affine2()
     mod = adjoint_module(L)
-    mat, src, dst = ce_delta(L, mod, 0)
+    src = form_column(L, mod, 0)
+    dst = form_column(L, mod, 1)
+    mat = ce_delta_on(src, dst)
     for m_idx in range(2):
         phi = zero_vec(src.space.dim)
         phi[src.index(0, m_idx)] = Q1
@@ -115,7 +120,9 @@ def test_delta_kernel_is_derivations():
     # kernel of δ: Hom(L,M) → Hom(Λ²L,M) = derivations L→M
     L = affine2()
     mod = adjoint_module(L)
-    mat, src, dst = ce_delta(L, mod, 1)
+    src = form_column(L, mod, 1)
+    dst = form_column(L, mod, 2)
+    mat = ce_delta_on(src, dst)
     from ceformality.linalg import nullspace
     ker = nullspace(mat)
     # independent derivation check on [h,e]=e: φ(e) = [φ(h), e] + [h, φ(e)]

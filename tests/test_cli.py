@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -202,6 +203,50 @@ def test_small_weights_exit_cleanly(capsys, command, name, weight):
     if weight < 2 and command != "formality" and \
             name != "sl2_identity_map.json":
         assert f"weight bound {weight} is below 2" in err
+
+
+@pytest.mark.parametrize("weight", ["6", "7"])
+@pytest.mark.parametrize("command", [
+    "minimal-model", "kaledin", "formality", "obstructions"])
+def test_weight_above_the_declared_bound_exits_two(capsys, command, weight):
+    # linf_min declares weight 5: its q_n for n > 5 are unknown
+    code, _, err = run(capsys, command, fx("linf_min.json"), "--weight",
+                       weight, "--columns", "4", "--max-page", "2")
+    assert code == 2
+    assert f"weight bound {weight} exceeds the input's declared weight " \
+        "bound 5" in err
+
+
+def voronov(n):
+    """The Voronov family member n: derived brackets of ad v_n on the
+    abelian complement {u} of span(v_1, …, v_n), with [v_i, u] = −i v_{i−1}."""
+    v = [f"v{i}" for i in range(n + 1)]
+    return {
+        "kind": "voronov",
+        "field": "Q",
+        "space": {"0": ["u"], "1": v},
+        "differential": [],
+        "brackets": [{"inputs": [v[i], "u"], "terms": [[v[i - 1], str(-i)]]}
+                     for i in range(1, n + 1)],
+        "subalgebra": v[1:],
+        "derivation": v[n],
+    }
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_voronov_family_witness(capsys, tmp_path, n):
+    # the witness is on page n − 1; its coordinate depends on the canonical
+    # representative, so it is pinned as read, not derived
+    path = tmp_path / f"voronov{n}.json"
+    path.write_text(json.dumps(voronov(n)))
+    code, out, _ = run(capsys, "formality", str(path), "--weight", str(n),
+                       "--columns", str(n + 1), "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == "NotFormal"
+    assert report["witness"] == {
+        "r": n - 1, "cell": [n, 1 - n],
+        "coordinates": [str((-1) ** n * math.factorial(n) * (n - 2))]}
 
 
 def test_dgla_commands_build_no_bicomplex(capsys, monkeypatch):

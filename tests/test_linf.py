@@ -7,14 +7,15 @@ import pytest
 from ceformality.dgla import DgLieAlgebra, dgla_is_valid
 from ceformality.formality import minimal_model
 from ceformality.graded import (
-    GradedVectorSpace, PowerBasis, PowerMap, SYMMETRIC,
+    GradedVectorSpace, PowerBasis, PowerMap, SYMMETRIC, koszul_sign,
 )
-from ceformality.linalg import Q0, Q1, is_zero_mat, is_zero_vec, mat_mul, zeros
+from ceformality.linalg import (
+    Q0, Q1, is_zero_mat, is_zero_vec, mat_mul, zero_vec, zeros,
+)
 from ceformality.linf import (
     LInfinityAlgebra, LInfinityMorphism, ce_linf_self, coder_lift_block,
     compose_morphisms, decalage, decalage_conjugation, derived_brackets,
-    exp_coderivation, identity_morphism, nr_bracket, set_partitions,
-    undecalage, validate_linf, validate_linf_morphism, _nr_column_matrix,
+    exp_coderivation, identity_morphism, nr_bracket, undecalage, validate_linf, validate_linf_morphism, _nr_column_matrix,
 )
 from ceformality.problems import load_problem
 from ceformality.specseq import page
@@ -145,11 +146,6 @@ def test_coder_lift_is_coderivation_shape():
     assert vals[out_pb.index((s, t))] == 3
 
 
-def test_set_partitions_bell_numbers():
-    for n, bell in [(1, 1), (2, 2), (3, 5), (4, 15)]:
-        assert sum(1 for _ in set_partitions(range(n))) == bell
-
-
 # -- morphisms -----------------------------------------------------------
 
 
@@ -201,6 +197,85 @@ def assert_matches_fresh(f):
     for t in all_tuples(f.source.ctx):
         assert f.component_value(t) == fresh.component_value(t), t
     assert f.big_matrix() == fresh.big_matrix()
+
+
+def set_partitions(items):
+    """All partitions of a list into unordered blocks (each block is a tuple
+    in input order, blocks ordered by first element)."""
+    items = list(items)
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [(first,)] + part
+        for i in range(len(part)):
+            yield part[:i] + [(first,) + part[i]] + part[i + 1:]
+
+
+def test_set_partitions_bell_numbers():
+    for n, bell in [(1, 1), (2, 2), (3, 5), (4, 15)]:
+        assert sum(1 for _ in set_partitions(range(n))) == bell
+
+
+def partition_sum_value(f, tup):
+    """(f(tup), number of product terms killed by a repeated odd-degree
+    index), with f(tup) summed over all Bell(n) set partitions of the
+    positions: ε · f¹(x_B₁) ⊙ … ⊙ f¹(x_Bⱼ), ε the Koszul sign of putting
+    the blocks side by side."""
+    sctx, tctx = f.source.ctx, f.target.ctx
+    out = zero_vec(tctx.dim)
+    if not tup:
+        out[tctx.index(0, 0)] = Q1
+        return out, 0
+    killed = 0
+    degs = [f.source.space.degrees[i] for i in tup]
+    for part in set_partitions(range(len(tup))):
+        j = len(part)
+        if j > tctx.bound:
+            continue
+        perm = [i for block in part for i in block]
+        terms = [(F(koszul_sign(degs, perm)), ())]
+        for block in part:
+            pb = sctx.pb[len(block)]
+            sign, canon = pb.normalize(tuple(tup[i] for i in block))
+            if not sign:
+                terms = []
+                break
+            c = pb.index(canon)
+            terms = [(coeff * sign * row[c], t + (a,))
+                     for coeff, t in terms
+                     for a, row in enumerate(f.f1(len(block))) if row[c]]
+        for coeff, t in terms:
+            sign, canon = tctx.pb[j].normalize(t)
+            if sign:
+                out[tctx.index(j, tctx.pb[j].index(canon))] += sign * coeff
+            else:
+                killed += 1
+    return out, killed
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_component_value_equals_the_partition_sum(seed):
+    # three odd basis vectors (two in one degree), so products of component
+    # values repeat odd-degree indices; the target's bound 3 is below the
+    # source's 5, so the weight truncation drops terms
+    space = GradedVectorSpace({-1: ["x"], 0: ["a", "b"], 1: ["c", "d"]})
+    rng = random.Random(seed)
+    comps = {k: random_power_map(space, k, 0, rng).matrix
+             for k in range(1, 6)}
+    f = LInfinityMorphism(LInfinityAlgebra(space, {}, 5),
+                          LInfinityAlgebra(space, {}, 3), comps)
+    # longest tuples first, so the recursion fills its own memo
+    tuples = sorted(all_tuples(f.source.ctx), key=len, reverse=True)
+    nonzero = killed = 0
+    for t in tuples:
+        want, k = partition_sum_value(f, t)
+        assert f.component_value(t) == want, t
+        killed += k
+        if len(t) >= 3:
+            nonzero += sum(1 for x in want if x)
+    assert nonzero and killed
 
 
 def gauge_morphism():
