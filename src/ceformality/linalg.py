@@ -1,8 +1,8 @@
 """Exact rational linear algebra: echelon forms, solving, subspaces, quotients.
 
-All arithmetic uses fractions.Fraction; nothing here ever rounds.  The pivot
-rule is fixed (leftmost nonzero column, topmost nonzero entry, full reduction)
-so every derived basis and representative is reproducible across runs.
+All arithmetic uses fractions.Fraction; nothing here ever rounds.  Each echelon
+basis is the unique reduced one of its row space, built by the one elimination
+loop ``Subspace.extend``, so bases and representatives are reproducible.
 """
 
 from __future__ import annotations
@@ -34,10 +34,6 @@ def identity(n):
     for i in range(n):
         m[i][i] = Q1
     return m
-
-
-def mat_copy(a):
-    return [row[:] for row in a]
 
 
 def transpose(a):
@@ -115,41 +111,14 @@ def is_zero_mat(a):
 def rref(a):
     """Reduced row echelon form.
 
-    Returns (R, pivots) where pivots is the list of pivot column indices.
-    Deterministic: leftmost nonzero column, topmost nonzero entry, pivots
-    normalized to 1, full reduction above and below.
+    Returns (R, pivots) where pivots is the list of pivot column indices:
+    the echelon basis of the row space (``Subspace.extend``), then zero
+    rows.  Deterministic: leftmost nonzero column, pivots normalized to 1,
+    full reduction above and below.
     """
-    m = mat_copy(a)
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        pr = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            continue
-        if pr != r:
-            m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        if pv != 1:
-            m[r] = [x / pv if x else x for x in m[r]]
-        prow = m[r]
-        nz = [j for j, y in enumerate(prow) if y]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                mi = m[i]
-                for j in nz:
-                    mi[j] -= f * prow[j]
-        pivots.append(c)
-        r += 1
-    return m, pivots
+    cols = len(a[0]) if a else 0
+    s = Subspace(cols, a)
+    return s.basis + [zero_vec(cols) for _ in range(len(a) - s.dim)], s.pivots
 
 
 def rank(a):
@@ -225,67 +194,80 @@ def block_kernel(a, rows, cols, ambient):
 
 
 class Subspace:
-    """A subspace of Q^n, stored with a cached reduced echelon basis."""
+    """A subspace of Q^n, stored with a cached reduced echelon basis and the
+    nonzero positions of each basis row.
+
+    ``extend`` is the one elimination loop: every echelon basis, and so
+    every ``rref``, solve and kernel, is built by it.  Basis rows are never
+    changed in place, since callers such as ``Quotient`` share them.
+    """
 
     def __init__(self, ambient, vectors=()):
         self.ambient = ambient
-        vecs = [list(v) for v in vectors]
-        for v in vecs:
+        self.basis, self.pivots, self._supports = [], [], []
+        for v in vectors:
             if len(v) != ambient:
                 raise ValueError("vector length does not match ambient dimension")
-        if vecs:
-            r, pivots = rref(vecs)
-            self.basis = [r[i] for i in range(len(pivots))]
-            self.pivots = list(pivots)
-        else:
-            self.basis = []
-            self.pivots = []
+            self.extend(v)
 
     @property
     def dim(self):
         return len(self.basis)
 
+    def _eliminate(self, v):
+        """(residual, coefficients) of v against the echelon basis, reading
+        only the nonzero positions of each basis row."""
+        w = list(v)
+        coeffs = []
+        for row, pc, support in zip(self.basis, self.pivots, self._supports):
+            f = w[pc]
+            coeffs.append(f)
+            if f:
+                for j in support:
+                    w[j] -= f * row[j]
+        return w, coeffs
+
     def reduce(self, v):
         """Residual of v after reduction against the echelon basis."""
-        w = list(v)
-        for row, pc in zip(self.basis, self.pivots):
-            if w[pc] != 0:
-                f = w[pc]
-                w = [x - f * y for x, y in zip(w, row)]
-        return w
+        return self._eliminate(v)[0]
 
     def contains(self, v):
         return is_zero_vec(self.reduce(v))
 
     def extend(self, v):
-        """Insert v into the reduced echelon basis in place; True when the
-        span grew.  The basis then equals that of
+        """Insert v into the reduced echelon basis; True when the span
+        grew.  The basis then equals that of
         ``Subspace(ambient, old basis + [v])``."""
         w = self.reduce(v)
-        c = next((j for j, x in enumerate(w) if x != 0), None)
-        if c is None:
+        support = [j for j, x in enumerate(w) if x]
+        if not support:
             return False
+        c = support[0]
         pv = w[c]
         if pv != 1:
-            w = [x / pv if x else x for x in w]
+            inv = Q1 / pv
+            for j in support:
+                w[j] *= inv
+        # clear column c from the other rows, over the new row's support
         for i, row in enumerate(self.basis):
             f = row[c]
-            if f != 0:
-                self.basis[i] = [x - f * y for x, y in zip(row, w)]
+            if f:
+                row = row[:]
+                for j in support:
+                    row[j] -= f * w[j]
+                self.basis[i] = row
+                self._supports[i] = [
+                    j for j in sorted(set(self._supports[i]).union(support))
+                    if row[j]]
         k = bisect_left(self.pivots, c)
         self.basis.insert(k, w)
         self.pivots.insert(k, c)
+        self._supports.insert(k, support)
         return True
 
     def coordinates(self, v):
         """Coefficients of v on the echelon basis, or None if v is outside."""
-        w = list(v)
-        coeffs = []
-        for row, pc in zip(self.basis, self.pivots):
-            f = w[pc]
-            coeffs.append(f)
-            if f != 0:
-                w = [x - f * y for x, y in zip(w, row)]
+        w, coeffs = self._eliminate(v)
         return coeffs if is_zero_vec(w) else None
 
     def sum(self, other):

@@ -29,6 +29,20 @@ def format_rational(x):
     return str(Fraction(x))
 
 
+def _field(obj, key, path=""):
+    """``obj[key]``, or ProblemError naming the field's JSON path (such as
+    ``differential[0].input``) when obj is not a JSON object or lacks it."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ProblemError(f"missing field {path + '.' if path else ''}{key}")
+    return obj[key]
+
+
+def _entries(data, key, path=""):
+    """(JSON path, entry) for each entry of the optional list data[key]."""
+    at = f"{path}.{key}" if path else key
+    return [(f"{at}[{i}]", e) for i, e in enumerate(data.get(key, []))]
+
+
 def _parse_space(data):
     comps = {}
     for deg, labels in data.items():
@@ -52,18 +66,19 @@ def _terms(space, terms):
     return out
 
 
-def _parse_dgla(data):
-    space = _parse_space(data["space"])
+def _parse_dgla(data, path=""):
+    space = _parse_space(_field(data, "space", path))
     comps = {d: list(ls) for d, ls in space.components.items()}
     d_images = {}
-    for entry in data.get("differential", []):
-        d_images[entry["input"]] = _terms(space, entry["terms"])
+    for at, entry in _entries(data, "differential", path):
+        d_images[_field(entry, "input", at)] = _terms(
+            space, _field(entry, "terms", at))
     brackets = {}
-    for entry in data.get("brackets", []):
-        ins = entry["inputs"]
+    for at, entry in _entries(data, "brackets", path):
+        ins = _field(entry, "inputs", at)
         if len(ins) != 2:
             raise ProblemError("brackets take two inputs")
-        brackets[tuple(ins)] = _terms(space, entry["terms"])
+        brackets[tuple(ins)] = _terms(space, _field(entry, "terms", at))
     try:
         return DgLieAlgebra.from_data(comps, d_images, brackets, check=False)
     except (ValueError, KeyError) as exc:
@@ -71,13 +86,13 @@ def _parse_dgla(data):
 
 
 def _parse_linf(data):
-    space = _parse_space(data["space"])
+    space = _parse_space(_field(data, "space"))
     bound = int(data.get("weight", 5))
     by_arity = {}
-    for entry in data.get("taylor", []):
-        ins = entry["inputs"]
+    for at, entry in _entries(data, "taylor"):
+        ins = _field(entry, "inputs", at)
         by_arity.setdefault(len(ins), []).append(
-            (ins, _terms(space, entry["terms"])))
+            (ins, _terms(space, _field(entry, "terms", at))))
     taylor = {}
     for arity, rules in by_arity.items():
         pb = PowerBasis(space, SYMMETRIC, arity)
@@ -110,6 +125,8 @@ def load_problem(path):
 
 
 def parse_problem(data):
+    if not isinstance(data, dict):
+        raise ProblemError("the problem must be a JSON object")
     kind = data.get("kind")
     if kind not in KINDS:
         raise ProblemError(f"kind must be one of {KINDS}, got {kind!r}")
@@ -122,15 +139,16 @@ def parse_problem(data):
         out["algebra"] = _parse_linf(data)
     elif kind == "voronov":
         out["algebra"] = _parse_dgla(data)
-        out["subalgebra"] = list(data["subalgebra"])
-        out["derivation"] = data["derivation"]
+        out["subalgebra"] = list(_field(data, "subalgebra"))
+        out["derivation"] = _field(data, "derivation")
     elif kind == "morphism":
-        out["source"] = _parse_dgla(data["source"])
-        out["target"] = _parse_dgla(data["target"])
+        out["source"] = _parse_dgla(_field(data, "source"), "source")
+        out["target"] = _parse_dgla(_field(data, "target"), "target")
         src, tgt = out["source"], out["target"]
         from .graded import GradedMap
-        images = {e["input"]: _terms(tgt.space, e["terms"])
-                  for e in data.get("map", [])}
+        images = {_field(e, "input", at):
+                  _terms(tgt.space, _field(e, "terms", at))
+                  for at, e in _entries(data, "map")}
         m = zeros(tgt.space.dim, src.space.dim)
         for lab, terms in images.items():
             if lab not in src.space.labels:
@@ -148,11 +166,12 @@ def parse_problem(data):
         out["samples"] = [_vector(space, s) for s in data.get("samples", [])]
         for key in ("element", "gauge"):
             if key in data:
+                coeffs = _field(data[key], "coefficients", key)
                 out[key] = {
-                    "order": int(data[key]["order"]),
+                    "order": int(_field(data[key], "order", key)),
                     "coefficients": {
                         int(k): _vector(space, v)
-                        for k, v in data[key]["coefficients"].items()},
+                        for k, v in coeffs.items()},
                 }
     return out
 

@@ -84,26 +84,22 @@ class FilteredTotalComplex:
 def cycle_space(ftc, p, n, r):
     """Z_r^{p,n-p} = {x in F^p of degree n with dx in F^{p+r}} (r ≥ -1).
 
-    Results are memoized on the complex: page constructions across r and
-    quotient comparisons revisit the same (p, n, r) triples many times.
+    The kernel depends only on the block of d it reduces: the degree-n
+    columns at levels ≥ p and the degree-(n+1) rows at levels < p + r.
+    Results are memoized on the complex by that block, so triples whose
+    blocks agree (large r, or p below 0) share one kernel.
     """
-    cache = ftc._cycle_cache
-    key = (p, n, r)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    dim = ftc.space.dim
-    p_eff = max(0, p)
-    idx = [i for i in range(dim)
-           if ftc.levels[i] >= p_eff and ftc.space.degrees[i] == n]
-    if p >= ftc.length or not idx:
-        cache[key] = Subspace(dim, [])
-        return cache[key]
-    target_level = p + r
+    levels = ftc.levels
+    cols = tuple(i for i in ftc.space.indices_in_degree(n)
+                 if levels[i] >= p)
     # d is degree-homogeneous, so only degree n+1 rows can constrain
-    rows = [i for i in range(dim) if ftc.levels[i] < target_level
-            and ftc.space.degrees[i] == n + 1]
-    cache[key] = block_kernel(ftc.differential.matrix, rows, idx, dim)
+    rows = tuple(i for i in ftc.space.indices_in_degree(n + 1)
+                 if levels[i] < p + r)
+    cache = ftc._cycle_cache
+    key = (rows, cols)
+    if key not in cache:
+        cache[key] = block_kernel(ftc.differential.matrix, rows, cols,
+                                  ftc.space.dim)
     return cache[key]
 
 

@@ -74,6 +74,41 @@ def test_missing_file_exits_one(capsys):
     assert "invalid input" in err
 
 
+def fixture_data(name):
+    with open(fx(name)) as fh:
+        return json.load(fh)
+
+
+def malformed_problems():
+    """Each malformed problem file with the field its error must name."""
+    no_space = fixture_data("sl2.json")
+    del no_space["space"]
+    no_input = fixture_data("endu.json")
+    del no_input["differential"][0]["input"]
+    no_subalgebra = fixture_data("voronov5.json")
+    del no_subalgebra["subalgebra"]
+    return {
+        "top_level_list": ([fixture_data("sl2.json")], "JSON object"),
+        "no_space": (no_space, "space"),
+        "no_differential_input": (no_input, "differential[0].input"),
+        "voronov_no_subalgebra": (no_subalgebra, "subalgebra"),
+    }
+
+
+MALFORMED = malformed_problems()
+
+
+@pytest.mark.parametrize("command", ["validate", "formality", "ce-pages"])
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_problem_names_the_field(capsys, tmp_path, case, command):
+    data, field = MALFORMED[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, command, str(path))
+    assert code == 1
+    assert "invalid input" in err and field in err
+
+
 def test_insufficient_bounds_exits_two(capsys):
     code, _, err = run(capsys, "formality", fx("sl2.json"), "--columns", "3")
     assert code == 2

@@ -126,7 +126,7 @@ def test_rank_nullity():
     assert rank(a) + len(nullspace(a)) == 3
 
 
-# -- the echelon kernel against the per-call eliminations it replaced -------
+# -- the echelon kernel against an independent Gauss–Jordan elimination ----
 
 sparse_fracs = st.one_of(st.just(F(0)), st.just(F(0)), small_fracs)
 
@@ -136,10 +136,44 @@ def vectors(n, max_size):
                     max_size=max_size)
 
 
+def gauss_jordan(a):
+    """Reduced row echelon form (R, pivots) by whole-matrix Gauss–Jordan
+    elimination: leftmost nonzero column, topmost nonzero entry, pivot
+    normalized to 1, column cleared above and below.  The oracle of the
+    kernel, which builds the same unique form row by row."""
+    m = [[F(x) for x in row] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r >= rows:
+            break
+        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [x / pv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def echelon_reference(vecs):
+    """The oracle's echelon basis (nonzero rows) and pivots."""
+    r, pivots = gauss_jordan(vecs)
+    return r[:len(pivots)], pivots
+
+
 def solve_reference(a, b):
-    """Echelon-least solution from its own elimination of [A | b]."""
+    """Echelon-least solution from the oracle's elimination of [A | b]."""
     cols = len(a[0]) if a else 0
-    r, pivots = rref([row + [b[i]] for i, row in enumerate(a)])
+    r, pivots = gauss_jordan([row + [b[i]] for i, row in enumerate(a)])
     if cols in pivots:
         return None
     x = [F(0)] * cols
@@ -149,14 +183,13 @@ def solve_reference(a, b):
 
 
 def quotient_reps_reference(z, b):
-    """Representatives by rebuilding the span for every candidate."""
-    span = Subspace(z.ambient, b.basis)
+    """Representatives by re-eliminating the span for every candidate."""
+    span = list(b.basis)
     reps = []
     for v in z.basis:
-        grown = Subspace(z.ambient, span.basis + [v])
-        if grown.dim > span.dim:
+        if len(gauss_jordan(span + [v])[1]) > len(gauss_jordan(span)[1]):
             reps.append(v)
-            span = grown
+            span.append(v)
     return reps
 
 
@@ -164,10 +197,52 @@ def quotient_reps_reference(z, b):
 def test_extend_equals_rebuild(seed, extra):
     s = Subspace(4, seed)
     for v in extra:
-        ref = Subspace(4, s.basis + [v])
-        grew = ref.dim > s.dim
+        basis, pivots = echelon_reference(s.basis + [v])
+        grew = len(pivots) > s.dim
         assert s.extend(v) == grew
-        assert s.basis == ref.basis and s.pivots == ref.pivots
+        assert s.basis == basis and s.pivots == pivots
+
+
+mixed_entries = st.one_of(st.just(0), st.integers(-4, 4), small_fracs)
+
+
+@st.composite
+def matrices(draw):
+    """Wide, tall and square matrices of ints and Fractions, with zero and
+    repeated rows and zero columns mixed in."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    a = draw(st.lists(st.lists(mixed_entries, min_size=cols, max_size=cols),
+                      min_size=rows, max_size=rows))
+    for _ in range(draw(st.integers(0, 2))):
+        if a:
+            a.insert(draw(st.integers(0, len(a))),
+                     list(draw(st.sampled_from(a))))
+    if draw(st.booleans()):
+        a.insert(draw(st.integers(0, len(a))), [0] * cols)
+    if cols:
+        for c in draw(st.lists(st.integers(0, cols - 1), max_size=2)):
+            for row in a:
+                row[c] = 0
+    return cols, a
+
+
+@given(matrices())
+def test_rref_and_subspace_equal_gauss_jordan(shape):
+    cols, a = shape
+    r, pivots = rref(a)
+    assert (r, pivots) == gauss_jordan(a)
+    assert not any(type(x) is float for row in r for x in row)
+    s = Subspace(cols, a)
+    assert (s.basis, s.pivots) == echelon_reference(a)
+
+
+@given(vectors(6, 4), vectors(6, 6))
+def test_row_supports_follow_extend(seed, extra):
+    s = Subspace(6, seed)
+    for v in extra:
+        s.extend(v)
+        assert s._supports == [[j for j, x in enumerate(row) if x]
+                               for row in s.basis]
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.data())

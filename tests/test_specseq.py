@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from ceformality import specseq
 from ceformality.cecomplex import (
     CeBicomplex, build_ce, pushforward_matrix,
 )
@@ -260,3 +261,19 @@ def test_lazy_cells_equal_full_page_cells(make):
             assert pg.coordinates(p, q, rep) == unit
         populated += 1
     assert populated
+
+
+def test_cycle_spaces_reduce_each_block_once(monkeypatch):
+    """Triples (p, n, r) whose blocks of d agree share one kernel."""
+    blocks = []
+    block_kernel = specseq.block_kernel
+
+    def counting(a, rows, cols, ambient):
+        blocks.append((tuple(rows), tuple(cols)))
+        return block_kernel(a, rows, cols, ambient)
+
+    monkeypatch.setattr(specseq, "block_kernel", counting)
+    ftc = quadcone_total(4)
+    for r in range(r_max(ftc) + 1):
+        page(ftc, r)
+    assert blocks and len(blocks) == len(set(blocks))
