@@ -23,7 +23,7 @@ from .linf import (
 )
 from .mc import TruncatedElement, mc_check, mc_lift, quadraticity_check
 from .problems import ProblemError, format_rational, load_problem
-from .specseq import page, r_max as page_bound
+from .specseq import barcode, r_max as page_bound
 
 USAGE_EXIT = 64
 INVALID_EXIT = 1
@@ -101,19 +101,12 @@ def _taylor_table(alg):
 
 
 def _page_table(ftc, max_page, q_shift):
-    """Nonzero cell dimensions of pages 1..max_page, each cell (p, q)
-    labelled (p, q + q_shift)."""
-    top = min(max_page, page_bound(ftc))
-    table = {}
-    for r in range(1, top + 1):
-        pg = page(ftc, r)
-        cells = {}
-        for (p, q) in sorted(pg.cells):
-            d = pg.dim(p, q)
-            if d:
-                cells[f"({p},{q + q_shift})"] = d
-        table[f"E{r}"] = cells
-    return table
+    """Nonzero cell dimensions of pages 1..max_page, read off the
+    complex's barcode, each cell (p, q) labelled (p, q + q_shift)."""
+    bc = barcode(ftc)
+    return {f"E{r}": {f"({p},{q + q_shift})": d
+                      for (p, q), d in sorted(bc.dims(r).items())}
+            for r in range(1, min(max_page, page_bound(ftc)) + 1)}
 
 
 def _algebra(problem, weight):

@@ -36,6 +36,21 @@ def koszul_sign(degrees, permutation, antisymmetric=False):
     return sign
 
 
+def shuffle_sign(degrees, sel):
+    """``koszul_sign(degrees, sel + rest)`` for increasing positions
+    ``sel`` and the increasing rest, in one pass: each odd selected element
+    crosses the odd elements of rest ahead of it."""
+    chosen = set(sel)
+    odd_rest = crossings = 0
+    for i, d in enumerate(degrees):
+        if d & 1:
+            if i in chosen:
+                crossings += odd_rest
+            else:
+                odd_rest += 1
+    return parity_sign(crossings)
+
+
 def sort_sign(items, degrees, antisymmetric=False):
     """Insertion-sort ``items`` ascending; return (sign, sorted items).
 

@@ -14,7 +14,7 @@ from .cecomplex import (
 from .dgla import DgLieAlgebra
 from .graded import (
     EXTERIOR, SYMMETRIC, GradedMap, GradedVectorSpace, PowerBasis, PowerMap,
-    koszul_sign, parity_sign,
+    koszul_sign, parity_sign, shuffle_sign,
 )
 from .linalg import (
     Q1, identity, is_zero_mat, is_zero_vec, mat_add, mat_mul, mat_sub,
@@ -309,7 +309,7 @@ class LInfinityMorphism:
                 if not head:
                     continue
                 rest = tuple(i for i in range(1, n) if i not in sel)
-                eps = sign * koszul_sign(degs, block + rest)
+                eps = sign * shuffle_sign(degs, block)
                 tail_val = self.component_value(tuple(tup[i] for i in rest))
                 for pos in compress(range(stop), tail_val):
                     j, t_pos = tctx.flat[pos]
@@ -485,7 +485,7 @@ class LinfCeComplex(ColumnComplex):
                     continue
                 cols = col.flat[pb.index(t)]
                 rest = tuple(i for i in range(j) if i not in sel)
-                eps = sign * koszul_sign(degs, list(sel) + list(rest))
+                eps = sign * shuffle_sign(degs, sel)
                 fval = f.component_value(tuple(u[i] for i in rest))
                 for k, r_k in r_on.items():
                     for r_wy, coeff in zip(r_k,

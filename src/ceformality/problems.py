@@ -29,37 +29,62 @@ def format_rational(x):
     return str(Fraction(x))
 
 
-def _field(obj, key, path=""):
+_JSON_TYPES = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _typed(value, kind, at):
+    """``value``, or ProblemError naming its JSON path when it is not of
+    ``kind`` (dict, list or str)."""
+    if not isinstance(value, kind):
+        raise ProblemError(f"field {at} must be {_JSON_TYPES[kind]}")
+    return value
+
+
+def _field(obj, key, path="", kind=None):
     """``obj[key]``, or ProblemError naming the field's JSON path (such as
-    ``differential[0].input``) when obj is not a JSON object or lacks it."""
+    ``differential[0].input``) when obj is not a JSON object, lacks it, or
+    holds a value not of ``kind``."""
+    at = f"{path}.{key}" if path else key
     if not isinstance(obj, dict) or key not in obj:
-        raise ProblemError(f"missing field {path + '.' if path else ''}{key}")
-    return obj[key]
+        raise ProblemError(f"missing field {at}")
+    return obj[key] if kind is None else _typed(obj[key], kind, at)
 
 
 def _entries(data, key, path=""):
     """(JSON path, entry) for each entry of the optional list data[key]."""
     at = f"{path}.{key}" if path else key
-    return [(f"{at}[{i}]", e) for i, e in enumerate(data.get(key, []))]
+    return [(f"{at}[{i}]", e)
+            for i, e in enumerate(_typed(data.get(key, []), list, at))]
 
 
-def _parse_space(data):
+def _integer(value, at):
+    """``int(value)``, or ProblemError naming the JSON path ``at``."""
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ProblemError(f"field {at} must be an integer") from exc
+
+
+def _parse_space(data, path=""):
+    at = f"{path}.space" if path else "space"
     comps = {}
-    for deg, labels in data.items():
+    for deg, labels in _field(data, "space", path, dict).items():
         try:
             d = int(deg)
         except ValueError as exc:
             raise ProblemError(f"bad degree key {deg!r}") from exc
-        comps[d] = list(labels)
+        comps[d] = list(_typed(labels, list, f"{at}.{deg}"))
     return GradedVectorSpace(comps)
 
 
-def _terms(space, terms):
+def _terms(space, terms, at):
+    """The (label, coefficient) pairs of the JSON array ``terms`` at
+    path ``at``."""
     out = []
-    for entry in terms:
-        if len(entry) != 2:
-            raise ProblemError(f"bad term {entry!r}")
-        label, coeff = entry
+    for term in _typed(terms, list, at):
+        if not isinstance(term, list) or len(term) != 2:
+            raise ProblemError(f"bad term {term!r} in {at}")
+        label, coeff = term
         if label not in space.labels:
             raise ProblemError(f"unknown label {label!r}")
         out.append((label, parse_rational(coeff)))
@@ -67,18 +92,19 @@ def _terms(space, terms):
 
 
 def _parse_dgla(data, path=""):
-    space = _parse_space(_field(data, "space", path))
+    space = _parse_space(data, path)
     comps = {d: list(ls) for d, ls in space.components.items()}
     d_images = {}
     for at, entry in _entries(data, "differential", path):
-        d_images[_field(entry, "input", at)] = _terms(
-            space, _field(entry, "terms", at))
+        d_images[_field(entry, "input", at, str)] = _terms(
+            space, _field(entry, "terms", at), f"{at}.terms")
     brackets = {}
     for at, entry in _entries(data, "brackets", path):
-        ins = _field(entry, "inputs", at)
+        ins = _field(entry, "inputs", at, list)
         if len(ins) != 2:
             raise ProblemError("brackets take two inputs")
-        brackets[tuple(ins)] = _terms(space, _field(entry, "terms", at))
+        brackets[tuple(ins)] = _terms(
+            space, _field(entry, "terms", at), f"{at}.terms")
     try:
         return DgLieAlgebra.from_data(comps, d_images, brackets, check=False)
     except (ValueError, KeyError) as exc:
@@ -86,13 +112,13 @@ def _parse_dgla(data, path=""):
 
 
 def _parse_linf(data):
-    space = _parse_space(_field(data, "space"))
-    bound = int(data.get("weight", 5))
+    space = _parse_space(data)
+    bound = _integer(data.get("weight", 5), "weight")
     by_arity = {}
     for at, entry in _entries(data, "taylor"):
-        ins = _field(entry, "inputs", at)
+        ins = _field(entry, "inputs", at, list)
         by_arity.setdefault(len(ins), []).append(
-            (ins, _terms(space, _field(entry, "terms", at))))
+            (ins, _terms(space, _field(entry, "terms", at), f"{at}.terms")))
     taylor = {}
     for arity, rules in by_arity.items():
         pb = PowerBasis(space, SYMMETRIC, arity)
@@ -139,15 +165,20 @@ def parse_problem(data):
         out["algebra"] = _parse_linf(data)
     elif kind == "voronov":
         out["algebra"] = _parse_dgla(data)
-        out["subalgebra"] = list(_field(data, "subalgebra"))
-        out["derivation"] = _field(data, "derivation")
+        out["subalgebra"] = list(_field(data, "subalgebra", kind=list))
+        out["derivation"] = _field(data, "derivation", kind=str)
+        named = [(f"subalgebra[{i}]", lab)
+                 for i, lab in enumerate(out["subalgebra"])]
+        for at, lab in named + [("derivation", out["derivation"])]:
+            if lab not in out["algebra"].space.labels:
+                raise ProblemError(f"unknown label {lab!r} at {at}")
     elif kind == "morphism":
         out["source"] = _parse_dgla(_field(data, "source"), "source")
         out["target"] = _parse_dgla(_field(data, "target"), "target")
         src, tgt = out["source"], out["target"]
         from .graded import GradedMap
-        images = {_field(e, "input", at):
-                  _terms(tgt.space, _field(e, "terms", at))
+        images = {_field(e, "input", at, str):
+                  _terms(tgt.space, _field(e, "terms", at), f"{at}.terms")
                   for at, e in _entries(data, "map")}
         m = zeros(tgt.space.dim, src.space.dim)
         for lab, terms in images.items():
@@ -163,21 +194,23 @@ def parse_problem(data):
     elif kind == "mc":
         out["algebra"] = _parse_dgla(data)
         space = out["algebra"].space
-        out["samples"] = [_vector(space, s) for s in data.get("samples", [])]
+        out["samples"] = [_vector(space, s, at)
+                          for at, s in _entries(data, "samples")]
         for key in ("element", "gauge"):
             if key in data:
-                coeffs = _field(data[key], "coefficients", key)
+                coeffs = _field(data[key], "coefficients", key, dict)
                 out[key] = {
-                    "order": int(_field(data[key], "order", key)),
+                    "order": _integer(_field(data[key], "order", key),
+                                      f"{key}.order"),
                     "coefficients": {
-                        int(k): _vector(space, v)
+                        int(k): _vector(space, v, f"{key}.coefficients.{k}")
                         for k, v in coeffs.items()},
                 }
     return out
 
 
-def _vector(space, terms):
+def _vector(space, terms, at):
     vec = [Fraction(0)] * space.dim
-    for lab, coeff in _terms(space, terms):
+    for lab, coeff in _terms(space, terms, at):
         vec[space.index(lab)] += coeff
     return vec

@@ -1,9 +1,10 @@
 """Finite filtered complexes and their spectral sequences: pages,
-differentials, degeneration checks, abutment comparison, and
-quotient-filtration comparison."""
+differentials, the barcode of page dimensions, degeneration checks,
+abutment comparison, and quotient-filtration comparison."""
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import compress
 
 from .graded import GradedMap, GradedVectorSpace
@@ -19,7 +20,8 @@ class FilteredTotalComplex:
     Every flat basis vector carries a level 0 ≤ level < length; F^p is the
     span of basis vectors of level ≥ p, and the differential never lowers
     the level.  The cycle, boundary, cell and page caches are filled by
-    ``cycle_space``, ``boundary_space``, ``page_cell`` and ``page``.
+    ``cycle_space``, ``boundary_space``, ``page_cell`` and ``page``, the
+    barcode by ``barcode``.
     """
 
     def __init__(self, space, differential, levels, length, check=True):
@@ -31,6 +33,7 @@ class FilteredTotalComplex:
         self._boundary_cache = {}
         self._cell_cache = {}
         self._page_cache = {}
+        self._barcode = None
         if check:
             # filtration, then d² = 0, from the nonzero entries of each row
             d = differential.matrix
@@ -230,20 +233,107 @@ def r_max(ftc):
     return ftc.length + 1
 
 
+class Barcode:
+    """The persistence pairing of a filtered complex, which fixes the
+    dimension of every cell of every page.
+
+    One column reduction of d, with the basis ordered deepest level first
+    and each column's pivot its lowest-level nonzero row, pairs x with
+    y = pivot of x's reduced column.  Rows and columns share one order, so
+    with d² = 0 a pivot row's own column reduces to zero and no vector
+    lies in two pairs.  Both ends of a pair of gap s = level(y) − level(x)
+    survive on pages 0..s, where d_s maps x's class onto y's; an unpaired
+    vector survives to E_∞.  So dim E_r^{p,q} counts the unpaired vectors
+    at (p, q) and both ends of the pairs with gap ≥ r there, and d_r is
+    nonzero out of (p, q) exactly when a pair of gap r starts there.
+    """
+
+    def __init__(self, ftc):
+        self.ftc = ftc
+        levels, degrees = ftc.levels, ftc.space.degrees
+        order = sorted(range(ftc.space.dim), key=lambda i: (-levels[i], i))
+        pos = {i: k for k, i in enumerate(order)}
+        d = ftc.differential.matrix
+        rows_in = {n: ftc.space.indices_in_degree(n + 1)
+                   for n in ftc.space.degree_support()}
+        reduced = {}  # pivot row → the reduced column that owns it
+        self.pairs = []
+        for x in order:
+            col = {i: d[i][x] for i in rows_in[degrees[x]] if d[i][x]}
+            while col:
+                low = max(col, key=pos.__getitem__)
+                other = reduced.get(low)
+                if other is None:
+                    reduced[low] = col
+                    self.pairs.append((x, low, levels[low] - levels[x]))
+                    break
+                f = col[low] / other[low]
+                for i, v in other.items():
+                    w = col.get(i, 0) - f * v
+                    if w:
+                        col[i] = w
+                    else:
+                        col.pop(i, None)
+        paired = {i for x, y, _ in self.pairs for i in (x, y)}
+        self.unpaired = [i for i in range(ftc.space.dim) if i not in paired]
+        self._check()
+
+    def _check(self):
+        """Engine invariants: no pair lowers the level, and the unpaired
+        vectors of degree n count dim H^n, read from independent ranks."""
+        if any(gap < 0 for _, _, gap in self.pairs):
+            raise AssertionError("barcode pair lowers the filtration level")
+        space, d = self.ftc.space, self.ftc.differential.matrix
+
+        def rank_out(n):
+            rows = space.indices_in_degree(n + 1)
+            cols = space.indices_in_degree(n)
+            return rank([[d[r][c] for c in cols] for r in rows]) \
+                if rows and cols else 0
+
+        for n in space.degree_support():
+            h = space.dim_in_degree(n) - rank_out(n) - rank_out(n - 1)
+            got = sum(space.degrees[i] == n for i in self.unpaired)
+            if got != h:
+                raise AssertionError(
+                    f"barcode leaves {got} unpaired vectors in degree {n}, "
+                    f"but dim H^{n} = {h}")
+
+    def _cell(self, i):
+        p = self.ftc.levels[i]
+        return p, self.ftc.space.degrees[i] - p
+
+    def dims(self, r):
+        """{(p, q): dim E_r^{p,q}} over the nonzero cells of page r."""
+        ends = [i for x, y, gap in self.pairs if gap >= r for i in (x, y)]
+        return Counter(map(self._cell, self.unpaired + ends))
+
+    def differential_sources(self, r):
+        """The cells (p, q) out of which d_r is nonzero."""
+        return {self._cell(x) for x, _, gap in self.pairs if gap == r}
+
+
+def barcode(ftc):
+    """The complex's ``Barcode``, computed once and cached on it."""
+    if ftc._barcode is None:
+        ftc._barcode = Barcode(ftc)
+    return ftc._barcode
+
+
 def degenerates_at(ftc, k, cell=None):
     """True when d_r vanishes for all k ≤ r ≤ r_max (at one cell or all).
 
-    Returns (flag, first violating (r, p, q) or None).
+    Returns (flag, first violating (r, p, q) or None), read off the
+    barcode: d_r is nonzero exactly out of the cells where a pair of gap
+    r starts.
     """
+    bc = barcode(ftc)
     for r in range(k, r_max(ftc) + 1):
-        pg = page(ftc, r)
+        sources = bc.differential_sources(r)
         if cell is not None:
-            if not pg.differential_is_zero(*cell):
-                return False, (r, cell[0], cell[1])
-            continue
-        for (p, q) in sorted(pg.cells):
-            if not pg.differential_is_zero(p, q):
-                return False, (r, p, q)
+            sources &= {tuple(cell)}
+        if sources:
+            return False, (r, *min(sources))
     return True, None
 
 

@@ -87,11 +87,24 @@ def malformed_problems():
     del no_input["differential"][0]["input"]
     no_subalgebra = fixture_data("voronov5.json")
     del no_subalgebra["subalgebra"]
+    number_terms = fixture_data("endu.json")
+    number_terms["differential"][0]["terms"] = 5
+    unknown_derivation = fixture_data("voronov5.json")
+    unknown_derivation["derivation"] = "zz"
+    list_weight = fixture_data("linf_min.json")
+    list_weight["weight"] = [2]
+    list_order = fixture_data("quadcone.json")
+    list_order["element"]["order"] = [1]
     return {
         "top_level_list": ([fixture_data("sl2.json")], "JSON object"),
         "no_space": (no_space, "space"),
         "no_differential_input": (no_input, "differential[0].input"),
         "voronov_no_subalgebra": (no_subalgebra, "subalgebra"),
+        "space_list": ({"kind": "dgla", "space": ["x"]}, "space"),
+        "number_terms": (number_terms, "differential[0].terms"),
+        "voronov_unknown_derivation": (unknown_derivation, "derivation"),
+        "linf_list_weight": (list_weight, "weight"),
+        "mc_list_order": (list_order, "element.order"),
     }
 
 
@@ -301,3 +314,36 @@ def test_dgla_commands_build_no_bicomplex(capsys, monkeypatch):
         code, _, _ = run(capsys, *argv)
         assert code == 0
     assert calls == []
+
+
+def test_ce_pages_builds_no_page_cell(capsys, monkeypatch):
+    # ce-pages reads every dimension off the barcode: no full page is
+    # built and no cycle space reduced
+    from ceformality import specseq
+    calls = {"pages": 0, "cycle_space": 0}
+    init = specseq.SpectralPage.__init__
+    cycle_space = specseq.cycle_space
+
+    def counting_init(self, ftc, r):
+        calls["pages"] += 1
+        init(self, ftc, r)
+
+    def counting_cycle_space(*args):
+        calls["cycle_space"] += 1
+        return cycle_space(*args)
+
+    monkeypatch.setattr(specseq.SpectralPage, "__init__", counting_init)
+    monkeypatch.setattr(specseq, "cycle_space", counting_cycle_space)
+    for name in ("endu.json", "quadcone.json"):
+        code, out, _ = run(capsys, "ce-pages", fx(name))
+        assert code == 0 and "pages.E1" in out
+    assert calls == {"pages": 0, "cycle_space": 0}
+
+
+def test_barcode_fault_is_an_engine_fault(monkeypatch):
+    # a rank disagreement inside the barcode's own check must surface as
+    # an AssertionError, never as exit 1 "invalid input"
+    from ceformality import specseq
+    monkeypatch.setattr(specseq, "rank", lambda a: 0)
+    with pytest.raises(AssertionError, match="dim H"):
+        main(["ce-pages", fx("quadcone.json")])

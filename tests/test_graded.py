@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from ceformality.graded import (
     EXTERIOR, SYMMETRIC, GradedMap, GradedVectorSpace, PowerBasis, PowerMap,
-    koszul_sign, sort_sign,
+    koszul_sign, shuffle_sign, sort_sign,
 )
 
 F = Fraction
@@ -32,6 +32,15 @@ def test_koszul_sign_composition():
     inv = [p.index(i) for i in range(4)]
     permuted = [degs[i] for i in p]
     assert koszul_sign(degs, p) * koszul_sign(permuted, inv) == 1
+
+
+@given(st.lists(st.tuples(st.integers(-3, 3), st.booleans()), max_size=9))
+def test_shuffle_sign_matches_koszul(marked):
+    # each entry is (degree, whether the position is selected)
+    degs = [d for d, _ in marked]
+    sel = [i for i, (_, chosen) in enumerate(marked) if chosen]
+    rest = [i for i, (_, chosen) in enumerate(marked) if not chosen]
+    assert shuffle_sign(degs, sel) == koszul_sign(degs, sel + rest)
 
 
 def test_sort_sign_matches_koszul():

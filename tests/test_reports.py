@@ -3,8 +3,8 @@
 
 Each golden file holds the argv, exit code, stdout and stderr of one run.
 Reports embed the input path, so each case runs with the repository root as
-the working directory.  endu runs at reduced bounds: its default
-``ce-pages --columns 5`` takes minutes.  After an intended report change,
+the working directory.  endu runs at the reduced bounds in ``REDUCED``, which
+the golden argv records.  After an intended report change,
 regenerate the files with ``PYTHONPATH=src python tests/test_reports.py``.
 """
 

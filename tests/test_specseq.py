@@ -14,8 +14,8 @@ from ceformality.linalg import Q1, rank, rref, zeros
 from ceformality.linf import ce_linf_self, decalage
 from ceformality.problems import load_problem
 from ceformality.specseq import (
-    FilteredTotalComplex, abutment_check, cell_coordinates, degenerates_at,
-    page, page_cell, page_map, quotient_compare, r_max,
+    Barcode, FilteredTotalComplex, abutment_check, barcode, cell_coordinates,
+    degenerates_at, page, page_cell, page_map, quotient_compare, r_max,
 )
 
 F = Fraction
@@ -261,6 +261,57 @@ def test_lazy_cells_equal_full_page_cells(make):
             assert pg.coordinates(p, q, rep) == unit
         populated += 1
     assert populated
+    assert_barcode_matches_pages(full)
+
+
+def page_scan(ftc, k, cell=None):
+    """``degenerates_at`` read off full pages: the first (r, p, q) with
+    k ≤ r ≤ r_max whose d_r is nonzero, scanning each page's cells in order."""
+    for r in range(k, r_max(ftc) + 1):
+        pg = page(ftc, r)
+        for (p, q) in ([tuple(cell)] if cell else sorted(pg.cells)):
+            if not pg.differential_is_zero(p, q):
+                return False, (r, p, q)
+    return True, None
+
+
+def assert_barcode_matches_pages(ftc):
+    """Barcode dimensions and degeneration agree with the per-cell engine's
+    full pages on every page and cell."""
+    bc = barcode(ftc)
+    for r in range(r_max(ftc) + 1):
+        pg = page(ftc, r)
+        assert bc.dims(r) == {cell: pg.dim(*cell) for cell in pg.cells}, r
+    for k in range(r_max(ftc) + 1):
+        assert degenerates_at(ftc, k) == page_scan(ftc, k), k
+        for cell in page(ftc, k).cells:
+            assert degenerates_at(ftc, k, cell) == page_scan(ftc, k, cell)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_barcode_matches_random_pages(seed):
+    ftc = random_filtered_complex(seed, dim=8, length=2 + seed % 3)
+    assert_barcode_matches_pages(ftc)
+
+
+def test_barcode_reads_the_collapse():
+    bc = barcode(two_column_collapse())
+    assert bc.pairs == [(0, 1, 1)] and bc.unpaired == []
+    assert bc.dims(1) == {(0, 0): 1, (1, 0): 1} and bc.dims(2) == {}
+    assert bc.differential_sources(1) == {(0, 0)}
+
+
+def test_barcode_checks_are_engine_faults():
+    ftc = random_filtered_complex(7, dim=8)
+    bc = Barcode(ftc)
+    bc.unpaired.append(0)
+    with pytest.raises(AssertionError, match="dim H"):
+        bc._check()
+    bc = Barcode(ftc)
+    x, y, gap = bc.pairs[0]
+    bc.pairs[0] = (x, y, -1)
+    with pytest.raises(AssertionError, match="lowers the filtration"):
+        bc._check()
 
 
 def test_cycle_spaces_reduce_each_block_once(monkeypatch):
