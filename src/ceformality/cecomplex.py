@@ -101,6 +101,13 @@ class ColumnComplex:
         column p."""
         return self._glob[p][local]
 
+    def block(self, p, j):
+        """Block of the total differential from column p to column j, on
+        the two columns' own bases."""
+        d = self.total.differential.matrix
+        cols = self._glob[p]
+        return [[d[r][c] for c in cols] for r in self._glob[j]]
+
 
 def ce_delta_bar_on(col):
     """(δ̄φ)(s) = d_M φ(s) − Σ_i (−1)^{φ̄+|s₀…s_{i−1}|} φ(s₀, …, ds_i, …),

@@ -12,7 +12,7 @@ from .dgla import (
 )
 from .graded import GradedMap, PowerMap
 from .linalg import (
-    Q0, Q1, is_zero_mat, mat_add, mat_mul, mat_sub, mat_vec, rank, solve,
+    Q1, is_zero_mat, mat_add, mat_mul, mat_sub, mat_vec, rank, solve,
     solve_right, vec_sub, zero_vec, zeros,
 )
 from .linf import (
@@ -186,6 +186,7 @@ def minimal_model(alg, bound):
         if not is_zero_mat(r_n):
             w_alg.taylor[n] = PowerMap(pb_n, hspace, 1, r_n)
             w_alg._qhat = None
+            w_alg._ce.clear()
         g.set_component(n, g_n)
         # exact arity-n morphism identity as the correctness gate
         lhs = mat_add(mat_mul(imat, r_n), lifts)
@@ -237,37 +238,14 @@ def minimal_model(alg, bound):
     return {"minimal": w_alg, "into": g, "onto": f, "contraction": con}
 
 
-def _bracket_with_q2_matrix(alg, arity):
-    """Matrix of α ↦ [q₂, α]_NR from degree-0 maps of the given arity,
-    together with the list of degree-0 basis pairs."""
-    q2 = alg.q(2)
-    pb_src = alg.ctx.pb[arity]
-    pairs = []
-    for t_pos in range(len(pb_src)):
-        tdeg = pb_src.degree(t_pos)
-        for w in range(alg.space.dim):
-            if alg.space.degrees[w] - tdeg == 0:
-                pairs.append((t_pos, w))
-    pb_dst = alg.ctx.pb[arity + 1]
-    mat = zeros(len(pb_dst) * alg.space.dim, len(pairs))
-    for cidx, (t_pos, w) in enumerate(pairs):
-        amat = zeros(alg.space.dim, len(pb_src))
-        amat[w][t_pos] = Q1
-        alpha = PowerMap(pb_src, alg.space, 0, amat)
-        br = nr_bracket(q2, alpha, alg.ctx)
-        for tt in range(len(pb_dst)):
-            for ww in range(alg.space.dim):
-                mat[tt * alg.space.dim + ww][cidx] = br.matrix[ww][tt]
-    return mat, pairs, pb_src
-
-
 def gauge_reduce(alg, bound=None):
     """Iteratively gauge away the least nonquadratic component.
 
     At each stage i ≥ 3 with q_i ≠ 0 the linear system [q₂, α]_NR = −q_i is
-    solved for a degree-0 α of arity i−1 and the structure is conjugated by
-    exp of its lift; failure of the solve certifies a nonzero obstruction
-    class and the verdict NotFormal.
+    solved for a degree-0 α of arity i−1, reading [q₂, −] as the block from
+    column i−1 to column i of the coderivation complex, and the structure
+    is conjugated by exp of its lift; failure of the solve certifies a
+    nonzero obstruction class and the verdict NotFormal.
     """
     if not alg.is_minimal():
         raise ValueError("gauge reduction requires a minimal structure")
@@ -285,11 +263,12 @@ def gauge_reduce(alg, bound=None):
         if stage is None:
             break
         qi = current.q(stage)
-        mat, pairs, pb_src = _bracket_with_q2_matrix(current, stage - 1)
-        target = []
-        for tt in range(len(current.ctx.pb[stage])):
-            for ww in range(current.space.dim):
-                target.append(-qi.matrix[ww][tt])
+        ce = ce_linf_self(current, stage + 1)
+        src, dst = ce.columns[stage - 1], ce.columns[stage]
+        unknowns = src.space.indices_in_degree(0)
+        mat = [[row[c] for c in unknowns]
+               for row in ce.block(stage - 1, stage)]
+        target = [-qi.matrix[ww][tt] for tt, ww in dst.pairs]
         sol = solve(mat, target)
         if sol is None:
             obs = obstruction_sequence(alg, stage + 1, stage - 1)
@@ -301,10 +280,11 @@ def gauge_reduce(alg, bound=None):
             return {"verdict": "NotFormal", "stage": stage,
                     "witness": witness, "steps": steps,
                     "obstructions": obs, "weight": bound, "final": current}
-        amat = zeros(current.space.dim, len(pb_src))
-        for k, (t_pos, w) in enumerate(pairs):
-            amat[w][t_pos] = sol[k]
-        alpha = PowerMap(pb_src, current.space, 0, amat)
+        amat = zeros(current.space.dim, len(src.pb))
+        for c, x in zip(unknowns, sol):
+            t_pos, w = src.pairs[c]
+            amat[w][t_pos] = x
+        alpha = PowerMap(src.pb, current.space, 0, amat)
         new_alg, phi = exp_coderivation(current, alpha)
         for j in range(3, stage + 1):
             if j in new_alg.taylor:
@@ -414,6 +394,9 @@ def kaledin_class(alg, weight, t_order):
     if t_order < 2:
         raise ValueError("t-order must be at least 2")
     n, m = weight, t_order
+    # the complex's own d² = 0 check rejects [q, q]_k ≠ 0 for every k ≤ n,
+    # so invalid input fails here and square_zero holds below
+    ce = ce_linf_self(alg, n + 1)
     euler = euler_power_map(alg)
 
     def q_coeff(s):
@@ -433,16 +416,13 @@ def kaledin_class(alg, weight, t_order):
                 continue
             if fa.arity + gb.arity - 1 > n:
                 continue
-            br = nr_bracket(fa, gb, None)
+            br = nr_bracket(fa, gb, alg.ctx)
             key = br.arity
             acc[key] = br if key not in acc else acc[key].add(br)
         return acc
 
     identities = {"square_zero": True, "cocycle": True, "euler_relation": True}
     for s in range(m):
-        for br in series_bracket(q_coeff, q_coeff, s).values():
-            if not br.is_zero():
-                identities["square_zero"] = False
         for br in series_bracket(q_coeff, dq_coeff, s).values():
             if not br.is_zero():
                 identities["cocycle"] = False
@@ -469,37 +449,30 @@ def kaledin_class(alg, weight, t_order):
             if lm != rm:
                 identities["euler_relation"] = False
 
-    # coboundary test: [q(t), x(t)]_NR = ∂_t q(t) mod (t^m, weight n)
+    # coboundary test: [q(t), x(t)]_NR = ∂_t q(t) mod (t^m, weight n), for
+    # x(t) of degree 0 and arities 1 … n−1; [q_i, −] from arity a to arity
+    # j = a + i − 1 is the block a → j of the coderivation complex
+    basis_maps = []
+    for a in range(1, n):
+        col = ce.columns[a]
+        blocks = [(j, ce.block(a, j), ce.columns[j].pairs)
+                  for j in range(a + 1, n + 1) if j - a + 1 in alg.taylor]
+        for c in col.space.indices_in_degree(0):
+            images = [(j, pairs[r], row[c]) for j, blk, pairs in blocks
+                      for r, row in enumerate(blk) if row[c]]
+            basis_maps.append((a, col.pairs[c], images))
     unknowns = []
-    for s in range(m):
-        for a in range(1, n):
-            pb = alg.ctx.pb[a]
-            for t_pos in range(len(pb)):
-                tdeg = pb.degree(t_pos)
-                for w in range(alg.space.dim):
-                    if alg.space.degrees[w] - tdeg == 0:
-                        unknowns.append((s, a, t_pos, w))
     rows = {}
     col_data = []
-    for s0, a, t_pos, w in unknowns:
-        amat = zeros(alg.space.dim, len(alg.ctx.pb[a]))
-        amat[w][t_pos] = Q1
-        x = PowerMap(alg.ctx.pb[a], alg.space, 0, amat)
-        entries = {}
-        for i, qi in alg.taylor.items():
-            s = s0 + i - 2
-            if s >= m or qi.arity + a - 1 > n:
-                continue
-            br = nr_bracket(qi, x, None)
-            for tt in range(len(alg.ctx.pb[br.arity])):
-                for ww in range(alg.space.dim):
-                    v = br.matrix[ww][tt]
-                    if v:
-                        key = (s, br.arity, tt, ww)
-                        entries[key] = entries.get(key, Q0) + v
-        col_data.append(entries)
-        for k in entries:
-            rows.setdefault(k, len(rows))
+    for s0 in range(m):
+        for a, (t_pos, w), images in basis_maps:
+            # x = t^{s0} · (basis map) meets q_i at t^{s0+i−2}
+            entries = {(s0 + j - a - 1, j, tt, ww): v
+                       for j, (tt, ww), v in images if s0 + j - a - 1 < m}
+            unknowns.append((s0, a, t_pos, w))
+            col_data.append(entries)
+            for k in entries:
+                rows.setdefault(k, len(rows))
     target = {}
     for s in range(m):
         co = dq_coeff(s)

@@ -123,6 +123,7 @@ class LInfinityAlgebra:
             if not qn.is_zero():
                 self.taylor[n] = qn
         self._qhat = None
+        self._ce = {}
 
     def q(self, n):
         if n in self.taylor:
@@ -434,7 +435,8 @@ def _exp_nilpotent(m):
 class LinfCeComplex(ColumnComplex):
     """Column-truncated complex of relative coderivations along a morphism
     f: (V, Q) → (W, R), graded by map degree and filtered by the least
-    nonvanishing arity: column p is Hom*(V^⊙p, W)."""
+    nonvanishing arity: column p is Hom*(V^⊙p, W).  Along the identity of
+    (V, Q), ``block(p, j)`` is the matrix of [q_{j−p+1}, −]_NR."""
 
     def __init__(self, f, l):
         self.f = f
@@ -518,7 +520,14 @@ class LinfCeComplex(ColumnComplex):
 
 
 def ce_linf_self(alg, l):
-    return LinfCeComplex(identity_morphism(alg), l)
+    """C_CE(V, V) on l columns, the coderivation complex of the identity,
+    whose block from column p to column j is [q_{j−p+1}, −]_NR.  One
+    complex per column bound is kept on ``alg``, beside its codifferential,
+    so the gauge's failing stage and the obstruction check share it."""
+    ce = alg._ce.get(l)
+    if ce is None:
+        ce = alg._ce[l] = LinfCeComplex(identity_morphism(alg), l)
+    return ce
 
 
 def decalage_conjugation(alg_l, l, bound=None):
@@ -558,11 +567,11 @@ def decalage_conjugation(alg_l, l, bound=None):
     for p in range(l):
         # vertical: δ̄ s_p + s_p [q₁, −] = 0
         db = ce_delta_bar_on(cols_l[p])
-        nr1 = _nr_column_matrix(v_alg, ce_v, p, 1)
+        nr1 = ce_v.block(p, p)
         vert = mat_add(mat_mul(db, smats[p]), mat_mul(smats[p], nr1))
         # horizontal: δ s_p + s_{p+1} [q₂, −] = 0
         dd = ce_delta_on(cols_l[p], cols_l[p + 1])
-        nr2 = _nr_column_matrix(v_alg, ce_v, p, 2)
+        nr2 = ce_v.block(p, p + 1)
         horiz = mat_add(mat_mul(dd, smats[p]), mat_mul(smats[p + 1], nr2))
         ok = is_zero_mat(vert) and is_zero_mat(horiz)
         report["columns"].append({"p": p, "vertical_ok": is_zero_mat(vert),
@@ -570,30 +579,6 @@ def decalage_conjugation(alg_l, l, bound=None):
         if not ok:
             report["ok"] = False
     return smats, report
-
-
-def _nr_column_matrix(alg, ce, p, k):
-    """Matrix of α ↦ [q_k, α]_NR from column p to column p+k−1 of the
-    relative coderivation complex of the identity."""
-    qk = alg.q(k)
-    src_col = ce.columns[p]
-    dst_col = ce.columns[p + k - 1]
-    m = zeros(dst_col.space.dim, src_col.space.dim)
-    for cidx, (t_pos, w_idx) in enumerate(src_col.pairs):
-        amat = zeros(alg.space.dim, len(alg.ctx.pb[p]))
-        amat[w_idx][t_pos] = Q1
-        adeg = src_col.space.degrees[cidx]
-        alpha = PowerMap(alg.ctx.pb[p], alg.space, adeg, amat)
-        br = nr_bracket(qk, alpha, alg.ctx) if p + k - 1 <= alg.ctx.bound \
-            else None
-        if br is None:
-            continue
-        for out_t in range(len(alg.ctx.pb[p + k - 1])):
-            for out_w in range(alg.space.dim):
-                if br.matrix[out_w][out_t]:
-                    m[dst_col.index(out_t, out_w)][cidx] = \
-                        br.matrix[out_w][out_t]
-    return m
 
 
 def derived_brackets(ambient, n_sub_labels, d_label, n_max):

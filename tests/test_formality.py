@@ -15,10 +15,10 @@ from ceformality.formality import (
 from ceformality.graded import (
     GradedMap, GradedVectorSpace, PowerBasis, PowerMap, SYMMETRIC,
 )
-from ceformality.linalg import zeros
+from ceformality.linalg import Q0, Q1, solve, zero_vec, zeros
 from ceformality.linf import (
     LInfinityAlgebra, decalage, derived_brackets, exp_coderivation,
-    nr_bracket, validate_linf, validate_linf_morphism,
+    linf_structure, nr_bracket, validate_linf, validate_linf_morphism,
 )
 from ceformality.problems import load_problem
 
@@ -245,6 +245,175 @@ def test_kaledin_class_vanishes_for_quadratic():
     res = kaledin_class(decalage(sl2(), 5), 5, 3)
     assert all(res["identities"].values())
     assert res["class_is_zero"]
+
+
+# -- references: [q_i, −]_NR through nr_bracket one basis map at a time ------
+
+
+def fixture_algebra(name):
+    path = os.path.join(os.path.dirname(__file__), "fixtures", name + ".json")
+    return load_problem(path)["algebra"]
+
+
+def minimal_fixture(name, weight):
+    v = linf_structure(fixture_algebra(name), weight)
+    return v if v.is_minimal() else minimal_model(v, weight)["minimal"]
+
+
+def bracket_with_q2_matrix(alg, arity):
+    """Matrix of α ↦ [q₂, α]_NR from degree-0 maps of the given arity, rows
+    (tuple, target) of arity + 1, with the list of degree-0 basis pairs."""
+    q2 = alg.q(2)
+    pb_src = alg.ctx.pb[arity]
+    pairs = [(t_pos, w) for t_pos in range(len(pb_src))
+             for w in range(alg.space.dim)
+             if alg.space.degrees[w] == pb_src.degree(t_pos)]
+    pb_dst = alg.ctx.pb[arity + 1]
+    mat = zeros(len(pb_dst) * alg.space.dim, len(pairs))
+    for cidx, (t_pos, w) in enumerate(pairs):
+        amat = zeros(alg.space.dim, len(pb_src))
+        amat[w][t_pos] = Q1
+        br = nr_bracket(q2, PowerMap(pb_src, alg.space, 0, amat), alg.ctx)
+        for tt in range(len(pb_dst)):
+            for ww in range(alg.space.dim):
+                mat[tt * alg.space.dim + ww][cidx] = br.matrix[ww][tt]
+    return mat, pairs, pb_src
+
+
+def reference_gauge(alg):
+    """The gauge loop on ``bracket_with_q2_matrix``: (α of each solved
+    stage, the first stage with no solution or None)."""
+    current, alphas = alg, []
+    while True:
+        stage = next((i for i in range(3, alg.bound + 1)
+                      if i in current.taylor), None)
+        if stage is None:
+            return alphas, None
+        mat, pairs, pb_src = bracket_with_q2_matrix(current, stage - 1)
+        qi = current.q(stage)
+        sol = solve(mat, [-qi.matrix[ww][tt]
+                          for tt in range(len(current.ctx.pb[stage]))
+                          for ww in range(current.space.dim)])
+        if sol is None:
+            return alphas, stage
+        amat = zeros(current.space.dim, len(pb_src))
+        for k, (t_pos, w) in enumerate(pairs):
+            amat[w][t_pos] = sol[k]
+        alphas.append(amat)
+        current, _ = exp_coderivation(
+            current, PowerMap(pb_src, current.space, 0, amat))
+
+
+def reference_coboundary(alg, n, m):
+    """kaledin_class's coboundary system [q(t), x(t)]_NR = ∂_t q(t) mod
+    (t^m, weight n), each column a bracket of q_i with one basis map:
+    (class_is_zero, primitive)."""
+    unknowns = []
+    for s in range(m):
+        for a in range(1, n):
+            pb = alg.ctx.pb[a]
+            for t_pos in range(len(pb)):
+                for w in range(alg.space.dim):
+                    if alg.space.degrees[w] == pb.degree(t_pos):
+                        unknowns.append((s, a, t_pos, w))
+    rows, col_data = {}, []
+    for s0, a, t_pos, w in unknowns:
+        amat = zeros(alg.space.dim, len(alg.ctx.pb[a]))
+        amat[w][t_pos] = Q1
+        x = PowerMap(alg.ctx.pb[a], alg.space, 0, amat)
+        entries = {}
+        for i, qi in alg.taylor.items():
+            s = s0 + i - 2
+            if s >= m or qi.arity + a - 1 > n:
+                continue
+            br = nr_bracket(qi, x, None)
+            for tt in range(len(alg.ctx.pb[br.arity])):
+                for ww in range(alg.space.dim):
+                    v = br.matrix[ww][tt]
+                    if v:
+                        key = (s, br.arity, tt, ww)
+                        entries[key] = entries.get(key, Q0) + v
+        col_data.append(entries)
+        for k in entries:
+            rows.setdefault(k, len(rows))
+    target = {}
+    for s in range(m):
+        qi = alg.taylor.get(s + 3)
+        if qi is None:
+            continue
+        for tt in range(len(alg.ctx.pb[qi.arity])):
+            for ww in range(alg.space.dim):
+                if qi.matrix[ww][tt]:
+                    key = (s, qi.arity, tt, ww)
+                    target[key] = (s + 1) * qi.matrix[ww][tt]
+                    rows.setdefault(key, len(rows))
+    a_mat = zeros(len(rows), len(unknowns))
+    for c, entries in enumerate(col_data):
+        for k, v in entries.items():
+            a_mat[rows[k]][c] = v
+    b_vec = zero_vec(len(rows))
+    for k, v in target.items():
+        b_vec[rows[k]] = v
+    sol = solve(a_mat, b_vec) if rows else zero_vec(len(unknowns))
+    if sol is None:
+        return False, None
+    return True, [{"t_power": s, "arity": a, "tuple": t_pos, "target": w,
+                   "coefficient": sol[k]}
+                  for k, (s, a, t_pos, w) in enumerate(unknowns) if sol[k]]
+
+
+def gauged(name, weight, arity):
+    """A fixture's minimal model, which has only q₂, conjugated by exp of a
+    random degree-0 map: the gauge has higher q_i to clear again."""
+    alg = minimal_fixture(name, weight)
+    alpha = random_degree_map(alg.space, arity, 0, random.Random(19), alg)
+    return exp_coderivation(alg, alpha)[0]
+
+
+VORONOV = {f"voronov{n}": (lambda n=n: voronov_derived(n, n=n))
+           for n in (3, 4, 5, 6)}
+GAUGED = {"gauged_endu": lambda: gauged("endu", 5, 2),
+          "gauged_quadcone": lambda: gauged("quadcone", 4, 3),
+          "gauged_linf_min": lambda: gauged("linf_min", 4, 2)}
+
+
+@pytest.mark.parametrize("make", [*GAUGED.values(), *VORONOV.values()],
+                         ids=[*GAUGED, *VORONOV])
+def test_gauge_steps_equal_the_nr_bracket_reference(make):
+    # every α, and the stage that cannot be gauged, against the systems
+    # built through nr_bracket
+    alg = make()
+    alphas, failed = reference_gauge(alg)
+    res = gauge_reduce(alg)
+    assert [step["alpha"] for step in res["steps"]] == alphas
+    assert res.get("stage") == failed
+    if failed is None:
+        assert alphas and res["verdict"] == "FormalUpTo"
+    else:
+        assert failed == alg.bound and res["verdict"] == "NotFormal"
+
+
+@pytest.mark.parametrize("make, weight", [
+    *((make, int(name[-1])) for name, make in VORONOV.items()),
+    (lambda: decalage(sl2(), 5), 5),
+    (lambda: decalage(fixture_algebra("heis3"), 5), 5),
+    (lambda: minimal_fixture("linf_min", 5), 5),
+    (lambda: minimal_fixture("quadcone", 4), 4),
+    (lambda: minimal_fixture("endu", 4), 4),
+    (lambda: gauged("endu", 4, 2), 4),
+    (lambda: gauged("linf_min", 5, 2), 5),
+], ids=[*VORONOV, "sl2", "heis3", "linf_min", "quadcone", "endu",
+        "gauged_endu", "gauged_linf_min"])
+def test_kaledin_coboundary_equals_the_nr_bracket_reference(make, weight):
+    alg = make()
+    res = kaledin_class(alg, weight, 3)
+    assert (res["class_is_zero"], res["primitive"]) == \
+        reference_coboundary(alg, weight, 3)
+    # ∂_t q(t) mod t³ is q₃ + 2t q₄ + 3t² q₅: a zero class of a nonzero
+    # one has a nonzero primitive
+    if res["class_is_zero"]:
+        assert bool(res["primitive"]) == any(i in alg.taylor
+                                             for i in (3, 4, 5))
 
 
 @pytest.fixture

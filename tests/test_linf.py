@@ -15,7 +15,8 @@ from ceformality.linalg import (
 from ceformality.linf import (
     LInfinityAlgebra, LInfinityMorphism, ce_linf_self, coder_lift_block,
     compose_morphisms, decalage, decalage_conjugation, derived_brackets,
-    exp_coderivation, identity_morphism, nr_bracket, undecalage, validate_linf, validate_linf_morphism, _nr_column_matrix,
+    exp_coderivation, identity_morphism, nr_bracket, undecalage,
+    validate_linf, validate_linf_morphism,
 )
 from ceformality.problems import load_problem
 from ceformality.specseq import page
@@ -357,14 +358,38 @@ def voronov5_brackets():
     return alg
 
 
+def nr_column_matrix(alg, ce, p, k):
+    """Matrix of α ↦ [q_k, α]_NR from column p to column p+k−1 of the
+    coderivation complex of the identity, through ``nr_bracket`` one basis
+    map at a time: the reference for ``ce.block(p, p + k − 1)``."""
+    qk = alg.q(k)
+    src_col = ce.columns[p]
+    dst_col = ce.columns[p + k - 1]
+    m = zeros(dst_col.space.dim, src_col.space.dim)
+    if p + k - 1 > alg.ctx.bound:
+        return m
+    for cidx, (t_pos, w_idx) in enumerate(src_col.pairs):
+        amat = zeros(alg.space.dim, len(alg.ctx.pb[p]))
+        amat[w_idx][t_pos] = Q1
+        adeg = src_col.space.degrees[cidx]
+        alpha = PowerMap(alg.ctx.pb[p], alg.space, adeg, amat)
+        br = nr_bracket(qk, alpha, alg.ctx)
+        for out_t in range(len(alg.ctx.pb[p + k - 1])):
+            for out_w in range(alg.space.dim):
+                if br.matrix[out_w][out_t]:
+                    m[dst_col.index(out_t, out_w)][cidx] = \
+                        br.matrix[out_w][out_t]
+    return m
+
+
 def test_nr_bracket_on_an_empty_power_basis_is_zero():
     # sl2's décalage is odd, so it has no weight-4 tuples: q₄ is a map on an
     # empty power basis and [q₄, α] must be the zero map of full width
     alg = decalage(sl2(), 4)
     assert len(alg.ctx.pb[4]) == 0 and len(alg.ctx.pb[3]) == 1
     ce = ce_linf_self(alg, 4)
-    m = _nr_column_matrix(alg, ce, 0, 4)
-    assert len(m) == ce.columns[3].space.dim and is_zero_mat(m)
+    for m in (nr_column_matrix(alg, ce, 0, 4), ce.block(0, 3)):
+        assert len(m) == ce.columns[3].space.dim and is_zero_mat(m)
     alpha = PowerMap(alg.ctx.pb[0], alg.space, -1, [[Q1], [Q0], [Q0]])
     for br in (nr_bracket(alg.q(4), alpha, alg.ctx),
                nr_bracket(alpha, alg.q(4), alg.ctx)):
@@ -385,12 +410,14 @@ def test_ce_linf_differential_is_nr_bracket(make, l):
     compared = 0
     for p, src in enumerate(ce.columns):
         for p2, dst in enumerate(ce.columns):
-            block = [[d[ce.global_index(p2, r)][ce.global_index(p, c)]
-                      for c in range(src.space.dim)]
-                     for r in range(dst.space.dim)]
+            block = ce.block(p, p2)
+            assert block == [
+                [d[ce.global_index(p2, r)][ce.global_index(p, c)]
+                 for c in range(src.space.dim)]
+                for r in range(dst.space.dim)]
             k = p2 - p + 1
             if k in alg.taylor:
-                assert block == _nr_column_matrix(alg, ce, p, k), (p, k)
+                assert block == nr_column_matrix(alg, ce, p, k), (p, k)
                 compared += not is_zero_mat(block)
             else:
                 assert is_zero_mat(block), (p, p2)
