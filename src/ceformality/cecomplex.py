@@ -13,7 +13,7 @@ from .graded import (
     parity_sign,
 )
 from .linalg import is_zero_mat, mat_add, mat_mul, zero_vec, zeros
-from .specseq import FilteredTotalComplex, page
+from .specseq import FilteredTotalComplex, barcode
 
 
 class HomColumn:
@@ -262,7 +262,7 @@ def ce_first_page_check(alg, mod, l):
                                    check=False)).cohomology
     hm = cohomology(CochainComplex(mod.space, mod.differential,
                                    check=False)).cohomology
-    e1 = page(ftc, 1)
+    e1 = barcode(ftc).dims(1)
     report = {"ok": True, "cells": []}
     for p in range(l):
         pb = PowerBasis(hl, EXTERIOR, p)
@@ -272,9 +272,9 @@ def ce_first_page_check(alg, mod, l):
             for m_idx in range(hm.dim):
                 q = hm.degrees[m_idx] - tdeg
                 expected[q] = expected.get(q, 0) + 1
-        qs = set(expected) | {q for (pp, q) in e1.cells if pp == p}
+        qs = set(expected) | {q for (pp, q) in e1 if pp == p}
         for q in sorted(qs):
-            got = e1.dim(p, q)
+            got = e1[(p, q)]
             want = expected.get(q, 0)
             report["cells"].append(
                 {"p": p, "q": q, "e1_dim": got, "hom_dim": want,

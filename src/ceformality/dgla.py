@@ -310,13 +310,9 @@ class Contraction:
         return checks
 
 
-def cohomology(complex_, pivot_order="forward"):
-    """Compute H*(complex) with an explicit deterministic contraction.
-
-    ``pivot_order`` controls which coordinate directions get picked when
-    complements are chosen ("forward" or "reverse"); either choice yields a
-    valid contraction.
-    """
+def cohomology(complex_):
+    """Compute H*(complex) with an explicit deterministic contraction:
+    complements and representatives are picked in index order."""
     v = complex_.space
     dmat = complex_.differential.matrix
     if not is_zero_mat(mat_mul(dmat, dmat)):
@@ -327,8 +323,6 @@ def cohomology(complex_, pivot_order="forward"):
         zero = GradedMap.zero
         return Contraction(complex_, h, zero(h, v, 0), zero(v, h, 0),
                            zero(v, v, -1))
-    order = (lambda xs: list(xs)) if pivot_order == "forward" else \
-        (lambda xs: list(xs)[::-1])
 
     def unit(i):
         return [Q1 if t == i else Q0 for t in range(v.dim)]
@@ -340,7 +334,7 @@ def cohomology(complex_, pivot_order="forward"):
         idx = v.indices_in_degree(k)
         kernel[k] = block_kernel(dmat, v.indices_in_degree(k + 1), idx, v.dim)
         span = Subspace(v.dim, kernel[k].basis)
-        w_basis[k] = [e for e in map(unit, order(idx)) if span.extend(e)]
+        w_basis[k] = [e for e in map(unit, idx) if span.extend(e)]
 
     # image basis paired with preimages, cohomology representatives
     b_basis = {k: [] for k in degs + [max(degs) + 1]}
@@ -353,7 +347,7 @@ def cohomology(complex_, pivot_order="forward"):
     h_reps = {}
     for k in degs:
         span = Subspace(v.dim, b_basis.get(k, []))
-        h_reps[k] = [z for z in order(kernel[k].basis) if span.extend(z)]
+        h_reps[k] = [z for z in kernel[k].basis if span.extend(z)]
 
     hcomps = {k: [f"h{k}_{t}" for t in range(len(h_reps[k]))]
               for k in degs if h_reps[k]}
@@ -405,12 +399,12 @@ def _h_offset(hspace, k):
     return 0
 
 
-def cohomology_lie(alg, pivot_order="forward"):
+def cohomology_lie(alg):
     """Graded Lie algebra structure on H*(L) induced by representatives.
 
     Returns (H as a DgLieAlgebra with zero differential, contraction).
     """
-    con = cohomology(alg.complex(), pivot_order=pivot_order)
+    con = cohomology(alg.complex())
     h = con.cohomology
     pb = PowerBasis(h, EXTERIOR, 2)
     m = zeros(h.dim, len(pb))

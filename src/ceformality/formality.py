@@ -21,7 +21,7 @@ from .linf import (
     identity_morphism, linf_structure, nr_bracket, validate_linf,
     validate_linf_morphism,
 )
-from .specseq import cell_coordinates, page, page_map
+from .specseq import barcode, cell_coordinates, degenerates_at, page_map
 
 
 def euler_power_map(alg):
@@ -301,8 +301,18 @@ def gauge_reduce(alg, bound=None):
 
 def formality_verdict(obj, weight=5, columns=5):
     """Full pipeline: shift to a truncated structure if needed, transfer to
-    the minimal model, gauge-reduce, and cross-check the verdict against
-    the obstruction sequence within the column bound."""
+    the minimal model, gauge-reduce, and cross-check the verdict twice on
+    the coderivation complex of the obstruction sequence's column bound.
+
+    The obstruction sequence must agree with the gauge.  The degeneration
+    of the complex's spectral sequence must agree with the paper's theorem
+    (formal ⟺ degenerate at E₂), read off the barcode: a homotopy-abelian
+    verdict degenerates at E₁, a formal one at E₂, and a witness at gauge
+    stage s is the first nonzero differential, d_{s−1} out of the Euler
+    cell (1, −1).  On the cells (p, q) of page r with p + r ≤ l, for l
+    the column bound, the truncation is exact: projecting the untruncated
+    complex onto the truncated one is bijective there, as
+    ``quotient_compare`` checks.  A disagreement is an engine fault."""
     if weight < 3 or columns < 4:
         raise InsufficientBounds("need weight >= 3 and columns >= 4")
     v_alg = linf_structure(obj, weight)
@@ -331,6 +341,18 @@ def formality_verdict(obj, weight=5, columns=5):
             if obs["first_nonzero"] is not None:
                 raise AssertionError(
                     "gauge success despite a nonzero obstruction")
+    ftc = ce_linf_self(w_alg, obs_l).total
+    if verdict["verdict"] == "NotFormal":
+        r = verdict["stage"] - 1
+        _, first = degenerates_at(ftc, 2)
+        agrees = first is not None and first[0] == r and \
+            (1, -1) in barcode(ftc).differential_sources(r)
+    else:
+        abelian = verdict["verdict"] == "HomotopyAbelianUpTo"
+        agrees = degenerates_at(ftc, 1 if abelian else 2)[0]
+    if not agrees:
+        raise AssertionError(
+            "verdict disagrees with the degeneration of the spectral sequence")
     verdict["columns"] = columns
     verdict["minimal_model"] = mm
     verdict["obstruction_check"] = obs
@@ -366,11 +388,11 @@ def transfer_criterion(fmap, src, tgt, columns, m_formal_assumed=False):
         LInfinityMorphism.from_linear(dec_l, dec_m, induced), columns)
     fmat = pushforward_matrix(phi, ce_self, ce_phi)
     maps = page_map(ce_self.total, ce_phi.total, fmat, 2)
-    pg = page(ce_self.total, 2)
+    dims = barcode(ce_self.total).dims(2)
     results = []
     for p in range(3, columns):
         cell = (p, 1 - p)
-        dim_src = pg.dim(*cell)
+        dim_src = dims[cell]
         m = maps.get(cell)
         inj = dim_src == 0 or (m is not None and rank(m) == dim_src)
         results.append({"p": p, "dim_source": dim_src, "injective": inj})

@@ -14,13 +14,6 @@ Q0 = Fraction(0)
 Q1 = Fraction(1)
 
 
-def frac(x) -> Fraction:
-    """Coerce ints, strings like '2/3', and Fractions to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
 def zero_vec(n):
     return [Q0] * n
 
@@ -269,9 +262,6 @@ class Subspace:
         """Coefficients of v on the echelon basis, or None if v is outside."""
         w, coeffs = self._eliminate(v)
         return coeffs if is_zero_vec(w) else None
-
-    def sum(self, other):
-        return Subspace(self.ambient, self.basis + other.basis)
 
     def intersect(self, other):
         """Z ∩ B via the kernel of the stacked coefficient system."""

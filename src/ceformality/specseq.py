@@ -1,11 +1,13 @@
-"""Finite filtered complexes and their spectral sequences: pages,
-differentials, the barcode of page dimensions, degeneration checks,
+"""Finite filtered complexes and their spectral sequences: the barcode,
+one column reduction that gives every page dimension, every d_r source
+and every cell's cycles and boundaries; page maps, degeneration checks,
 abutment comparison, and quotient-filtration comparison."""
 
 from __future__ import annotations
 
 from collections import Counter
 from itertools import compress
+from math import inf
 
 from .graded import GradedMap, GradedVectorSpace
 from .linalg import (
@@ -19,9 +21,8 @@ class FilteredTotalComplex:
 
     Every flat basis vector carries a level 0 ≤ level < length; F^p is the
     span of basis vectors of level ≥ p, and the differential never lowers
-    the level.  The cycle, boundary, cell and page caches are filled by
-    ``cycle_space``, ``boundary_space``, ``page_cell`` and ``page``, the
-    barcode by ``barcode``.
+    the level.  The cell cache is filled by ``page_cell``, the barcode by
+    ``barcode``.
     """
 
     def __init__(self, space, differential, levels, length, check=True):
@@ -29,10 +30,7 @@ class FilteredTotalComplex:
         self.differential = differential
         self.levels = list(levels)
         self.length = length
-        self._cycle_cache = {}
-        self._boundary_cache = {}
         self._cell_cache = {}
-        self._page_cache = {}
         self._barcode = None
         if check:
             # filtration, then d² = 0, from the nonzero entries of each row
@@ -84,149 +82,34 @@ class FilteredTotalComplex:
                 index_map)
 
 
-def cycle_space(ftc, p, n, r):
-    """Z_r^{p,n-p} = {x in F^p of degree n with dx in F^{p+r}} (r ≥ -1).
-
-    The kernel depends only on the block of d it reduces: the degree-n
-    columns at levels ≥ p and the degree-(n+1) rows at levels < p + r.
-    Results are memoized on the complex by that block, so triples whose
-    blocks agree (large r, or p below 0) share one kernel.
-    """
-    levels = ftc.levels
-    cols = tuple(i for i in ftc.space.indices_in_degree(n)
-                 if levels[i] >= p)
-    # d is degree-homogeneous, so only degree n+1 rows can constrain
-    rows = tuple(i for i in ftc.space.indices_in_degree(n + 1)
-                 if levels[i] < p + r)
-    cache = ftc._cycle_cache
-    key = (rows, cols)
-    if key not in cache:
-        cache[key] = block_kernel(ftc.differential.matrix, rows, cols,
-                                  ftc.space.dim)
-    return cache[key]
-
-
-def boundary_space(ftc, p, n, r):
-    """B_r at (p, n-p): d(Z_{r-1} one column left) plus Z_{r-1} one level
-    deeper.  Memoized alongside the cycle spaces."""
-    cache = ftc._boundary_cache
-    key = (p, n, r)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    below = cycle_space(ftc, p + 1, n, r - 1)
-    dz_src = cycle_space(ftc, p - r + 1, n - 1, r - 1)
-    d_images = [ftc.differential.apply(v) for v in dz_src.basis]
-    cache[key] = below.sum(Subspace(ftc.space.dim, d_images))
-    return cache[key]
-
-
 def page_cell(ftc, r, p, q):
     """Cell E_r^{p,q} as {"z": Z_r, "b": B_r, "quot": Z_r/B_r}, or None
-    when E_r^{p,q} = 0.  Memoized on the complex, so a full page and a
-    caller reading single cells share one computation per cell."""
+    when E_r^{p,q} = 0.  Z_r and B_r are read off the barcode's reduction;
+    the cell is memoized on the complex."""
     cache = ftc._cell_cache
     key = (r, p, q)
-    if key in cache:
-        return cache[key]
-    cell = None
-    if 0 <= p < ftc.length:
-        z = cycle_space(ftc, p, q + p, r)
-        if z.dim:
-            b = boundary_space(ftc, p, q + p, r)
-            quot = Quotient(z, b)
-            if quot.dim:
-                cell = {"z": z, "b": b, "quot": quot}
-    cache[key] = cell
-    return cell
+    if key not in cache:
+        cell = None
+        if 0 <= p < ftc.length:
+            bc = barcode(ftc)
+            z = bc.cycles(p, q + p, r)
+            if z.dim:
+                b = bc.boundaries(p, q + p, r)
+                quot = Quotient(z, b)
+                if quot.dim:
+                    cell = {"z": z, "b": b, "quot": quot}
+        cache[key] = cell
+    return cache[key]
 
 
 def cell_coordinates(ftc, r, p, q, vec):
     """Coordinates of the class of the r-cycle ``vec`` in E_r^{p,q}
     (empty when the cell is zero)."""
     cell = page_cell(ftc, r, p, q)
-    z = cell["z"] if cell else cycle_space(ftc, p, q + p, r)
+    z = cell["z"] if cell else barcode(ftc).cycles(p, q + p, r)
     if not z.contains(vec):
         raise ValueError("vector is not an r-cycle at this cell")
     return cell["quot"].coordinates(vec) if cell else []
-
-
-class SpectralPage:
-    """Page r of the spectral sequence of a filtered complex.
-
-    Each populated cell (p, q) carries the cycle space Z_r, the boundary part
-    B_r, the quotient E_r = Z_r/B_r with canonical representatives, and the
-    matrix of d_r into cell (p+r, q-r+1).
-    """
-
-    def __init__(self, ftc, r):
-        self.ftc = ftc
-        self.r = r
-        self.cells = {}
-        self._build()
-
-    def _build(self):
-        ftc = self.ftc
-        r = self.r
-        for p in range(ftc.length):
-            for n in ftc.space.degree_support():
-                cell = page_cell(ftc, r, p, n - p)
-                if cell is not None:
-                    self.cells[(p, n - p)] = dict(cell)
-        for (p, q), cell in self.cells.items():
-            tgt = self.cells.get((p + r, q - r + 1))
-            mat = zeros(tgt["quot"].dim if tgt else 0, cell["quot"].dim)
-            for c, rep in enumerate(cell["quot"].reps):
-                dv = self.ftc.differential.apply(rep)
-                if tgt is None:
-                    if not tgt_free_is_zero(self, p + r, q - r + 1, dv):
-                        raise AssertionError(
-                            "differential leaves the computed page support")
-                    continue
-                coords = tgt["quot"].coordinates(dv)
-                for rr, val in enumerate(coords):
-                    mat[rr][c] = val
-            cell["d"] = mat
-
-    def dim(self, p, q):
-        cell = self.cells.get((p, q))
-        return cell["quot"].dim if cell else 0
-
-    def differential(self, p, q):
-        cell = self.cells.get((p, q))
-        return cell["d"] if cell else []
-
-    def representatives(self, p, q):
-        cell = self.cells.get((p, q))
-        return cell["quot"].reps if cell else []
-
-    def coordinates(self, p, q, vec):
-        """Coordinates of the class of ``vec`` in E_r^{p,q}."""
-        return cell_coordinates(self.ftc, self.r, p, q, vec)
-
-    def is_zero_class(self, p, q, vec):
-        coords = self.coordinates(p, q, vec)
-        return all(c == 0 for c in coords)
-
-    def differential_is_zero(self, p, q):
-        cell = self.cells.get((p, q))
-        if cell is None:
-            return True
-        return all(all(x == 0 for x in row) for row in cell["d"])
-
-
-def tgt_free_is_zero(page_obj, p, q, vec):
-    """When the target cell collapsed to zero, the class of ``vec`` there
-    must vanish; check membership in the boundary subspace."""
-    b = boundary_space(page_obj.ftc, p, q + p, page_obj.r)
-    return b.contains(vec)
-
-
-def page(ftc, r):
-    cache = ftc._page_cache
-    if r not in cache:
-        cache[r] = SpectralPage(ftc, r)
-    return cache[r]
 
 
 def r_max(ftc):
@@ -234,14 +117,17 @@ def r_max(ftc):
 
 
 class Barcode:
-    """The persistence pairing of a filtered complex, which fixes the
-    dimension of every cell of every page.
+    """The persistence pairing of a filtered complex, which fixes every
+    cell of every page.
 
     One column reduction of d, with the basis ordered deepest level first
-    and each column's pivot its lowest-level nonzero row, pairs x with
-    y = pivot of x's reduced column.  Rows and columns share one order, so
-    with d² = 0 a pivot row's own column reduces to zero and no vector
-    lies in two pairs.  Both ends of a pair of gap s = level(y) − level(x)
+    and each column's pivot its lowest-level nonzero row, gives R = D·V:
+    column x of R is d of the combination V_x = e_x + (earlier columns),
+    which lies in F^{level(x)}, and the nonzero R_x have distinct pivots,
+    so no combination of them cancels at its lowest level.  Rows and
+    columns share one order, so with d² = 0 a pivot row's own column
+    reduces to zero and no vector lies in two pairs.  Pairing x with the
+    pivot y of R_x, both ends of a pair of gap s = level(y) − level(x)
     survive on pages 0..s, where d_s maps x's class onto y's; an unpaired
     vector survives to E_∞.  So dim E_r^{p,q} counts the unpaired vectors
     at (p, q) and both ends of the pairs with gap ≥ r there, and d_r is
@@ -250,49 +136,45 @@ class Barcode:
 
     def __init__(self, ftc):
         self.ftc = ftc
-        levels, degrees = ftc.levels, ftc.space.degrees
+        levels = ftc.levels
         order = sorted(range(ftc.space.dim), key=lambda i: (-levels[i], i))
         pos = {i: k for k, i in enumerate(order)}
-        d = ftc.differential.matrix
-        rows_in = {n: ftc.space.indices_in_degree(n + 1)
-                   for n in ftc.space.degree_support()}
-        reduced = {}  # pivot row → the reduced column that owns it
+        columns = _sparse_columns(ftc)
+        owner = {}  # pivot row → the column whose R owns it
+        self.reduced, self.combination = {}, {}  # x → R_x, V_x
+        self._reach = [inf] * ftc.space.dim  # x → level(pivot of R_x)
         self.pairs = []
         for x in order:
-            col = {i: d[i][x] for i in rows_in[degrees[x]] if d[i][x]}
+            col, comb = columns[x], {x: Q1}
             while col:
                 low = max(col, key=pos.__getitem__)
-                other = reduced.get(low)
-                if other is None:
-                    reduced[low] = col
+                y = owner.get(low)
+                if y is None:
+                    owner[low] = x
+                    self._reach[x] = levels[low]
                     self.pairs.append((x, low, levels[low] - levels[x]))
                     break
-                f = col[low] / other[low]
-                for i, v in other.items():
-                    w = col.get(i, 0) - f * v
-                    if w:
-                        col[i] = w
-                    else:
-                        col.pop(i, None)
+                f = col[low] / self.reduced[y][low]
+                _axpy(col, -f, self.reduced[y])
+                _axpy(comb, -f, self.combination[y])
+            self.reduced[x], self.combination[x] = col, comb
         paired = {i for x, y, _ in self.pairs for i in (x, y)}
         self.unpaired = [i for i in range(ftc.space.dim) if i not in paired]
         self._check()
 
     def _check(self):
         """Engine invariants: no pair lowers the level, and the unpaired
-        vectors of degree n count dim H^n, read from independent ranks."""
+        vectors of degree n count dim H^n, from ranks of d computed apart
+        from the reduction (``sparse_rank``, in index order)."""
         if any(gap < 0 for _, _, gap in self.pairs):
             raise AssertionError("barcode pair lowers the filtration level")
-        space, d = self.ftc.space, self.ftc.differential.matrix
-
-        def rank_out(n):
-            rows = space.indices_in_degree(n + 1)
-            cols = space.indices_in_degree(n)
-            return rank([[d[r][c] for c in cols] for r in rows]) \
-                if rows and cols else 0
-
-        for n in space.degree_support():
-            h = space.dim_in_degree(n) - rank_out(n) - rank_out(n - 1)
+        space = self.ftc.space
+        columns = _sparse_columns(self.ftc)
+        rank_out = {n: sparse_rank(map(columns.get,
+                                       space.indices_in_degree(n)))
+                    for n in space.degree_support()}
+        for n, rk in rank_out.items():
+            h = space.dim_in_degree(n) - rk - rank_out.get(n - 1, 0)
             got = sum(space.degrees[i] == n for i in self.unpaired)
             if got != h:
                 raise AssertionError(
@@ -311,6 +193,72 @@ class Barcode:
     def differential_sources(self, r):
         """The cells (p, q) out of which d_r is nonzero."""
         return {self._cell(x) for x, _, gap in self.pairs if gap == r}
+
+    def _generators(self, p, n, r):
+        """The x of degree n whose V_x span Z_r^{p,n−p}: level(x) ≥ p, and
+        R_x = 0 or its pivot has level ≥ p + r."""
+        levels, reach = self.ftc.levels, self._reach
+        return [x for x in self.ftc.space.indices_in_degree(n)
+                if levels[x] >= p and reach[x] >= p + r]
+
+    def cycles(self, p, n, r):
+        """Z_r^{p,n−p} = {v ∈ F^p of degree n with dv ∈ F^{p+r}}."""
+        return self._span(self.combination[x]
+                          for x in self._generators(p, n, r))
+
+    def boundaries(self, p, n, r):
+        """B_r^{p,n−p} = Z_{r−1}^{p+1} + d Z_{r−1}^{p−r+1}, where d V_x is
+        R_x."""
+        below = [self.combination[x]
+                 for x in self._generators(p + 1, n, r - 1)]
+        images = [self.reduced[x]
+                  for x in self._generators(p - r + 1, n - 1, r - 1)]
+        return self._span(below + [v for v in images if v])
+
+    def _span(self, vectors):
+        dim = self.ftc.space.dim
+        rows = []
+        for v in vectors:
+            row = zero_vec(dim)
+            for i, x in v.items():
+                row[i] = x
+            rows.append(row)
+        return Subspace(dim, rows)
+
+
+def _sparse_columns(ftc):
+    """Column x of d as {row: entry} over its nonzero rows, all of degree
+    deg(x) + 1."""
+    d, space = ftc.differential.matrix, ftc.space
+    rows = {n: space.indices_in_degree(n + 1) for n in space.degree_support()}
+    return {x: {i: d[i][x] for i in rows[n] if d[i][x]}
+            for x, n in enumerate(space.degrees)}
+
+
+def _axpy(u, a, v):
+    """u += a·v on sparse vectors {index: entry}, dropping zeros."""
+    for i, x in v.items():
+        w = u.get(i, 0) + a * x
+        if w:
+            u[i] = w
+        else:
+            u.pop(i, None)
+
+
+def sparse_rank(columns):
+    """Rank of sparse columns {row: entry}, eliminated in index order: a
+    column's pivot is its first nonzero row."""
+    owners = {}
+    for col in columns:
+        col = dict(col)
+        while col:
+            top = min(col)
+            other = owners.get(top)
+            if other is None:
+                owners[top] = col
+                break
+            _axpy(col, -col[top] / other[top], other)
+    return len(owners)
 
 
 def barcode(ftc):
@@ -340,7 +288,7 @@ def degenerates_at(ftc, k, cell=None):
 def abutment_check(ftc):
     """Assert dim E_∞^{p,q} equals the graded dimension of the filtration
     induced on the cohomology of the total complex."""
-    einf = page(ftc, r_max(ftc))
+    einf = barcode(ftc).dims(r_max(ftc))
     dim = ftc.space.dim
     d = ftc.differential.matrix
     report = {"ok": True, "cells": []}
@@ -362,7 +310,7 @@ def abutment_check(ftc):
 
         for p in range(ftc.length):
             gr = filt_h_dim(p) - filt_h_dim(p + 1)
-            got = einf.dim(p, n - p)
+            got = einf[(p, n - p)]
             report["cells"].append(
                 {"p": p, "q": n - p, "e_inf": got, "gr_h": gr,
                  "ok": got == gr})
@@ -383,27 +331,16 @@ def quotient_compare(ftc, lev):
         proj[new][old] = Q1
     report = {"ok": True, "cells": []}
     for r in range(0, r_max(ftc) + 1):
-        src_pg = page(ftc, r)
-        dst_pg = page(qftc, r)
-        cells = {(p, q) for (p, q) in src_pg.cells if p < lev}
-        cells |= {(p, q) for (p, q) in dst_pg.cells if p < lev}
-        for (p, q) in sorted(cells):
-            sdim = src_pg.dim(p, q)
-            ddim = dst_pg.dim(p, q)
-            mat = zeros(ddim, sdim)
-            for c, rep in enumerate(src_pg.representatives(p, q)):
-                coords = dst_pg.coordinates(p, q, mat_vec(proj, rep)) \
-                    if ddim else []
-                for rr, val in enumerate(coords):
-                    mat[rr][c] = val
+        for (p, q), mat in page_map(ftc, qftc, proj, r).items():
+            if p >= lev:
+                continue
+            ddim, sdim = len(mat), len(mat[0]) if mat else 0
             rk = rank(mat) if sdim and ddim else 0
             inj = rk == sdim
             surj = rk == ddim
-            entry = {"r": r, "p": p, "q": q, "injective": inj,
-                     "surjective": surj}
             ok = inj and (surj or p + r > lev)
-            entry["ok"] = ok
-            report["cells"].append(entry)
+            report["cells"].append({"r": r, "p": p, "q": q, "injective": inj,
+                                    "surjective": surj, "ok": ok})
             if not ok:
                 report["ok"] = False
     return report
@@ -411,24 +348,24 @@ def quotient_compare(ftc, lev):
 
 def page_map(src_ftc, dst_ftc, fmat, r):
     """Matrices induced on page r by a filtered chain map given as a matrix
-    on the flat bases.  Returns {(p, q): matrix}."""
-    src_pg = page(src_ftc, r)
-    dst_pg = page(dst_ftc, r)
+    on the flat bases, over the cells nonzero at either end.  Returns
+    {(p, q): matrix}."""
     out = {}
-    cells = set(src_pg.cells) | set(dst_pg.cells)
+    cells = set(barcode(src_ftc).dims(r)) | set(barcode(dst_ftc).dims(r))
     for (p, q) in sorted(cells):
-        sdim = src_pg.dim(p, q)
-        ddim = dst_pg.dim(p, q)
-        mat = zeros(ddim, sdim)
-        for c, rep in enumerate(src_pg.representatives(p, q)):
+        src = page_cell(src_ftc, r, p, q)
+        dst = page_cell(dst_ftc, r, p, q)
+        reps = src["quot"].reps if src else []
+        mat = zeros(dst["quot"].dim if dst else 0, len(reps))
+        for c, rep in enumerate(reps):
             img = mat_vec(fmat, rep)
-            if ddim:
-                coords = dst_pg.coordinates(p, q, img)
+            if dst:
+                coords = cell_coordinates(dst_ftc, r, p, q, img)
                 for rr, val in enumerate(coords):
                     mat[rr][c] = val
-            elif not is_zero_vec(img):
+            elif not is_zero_vec(img) and not barcode(dst_ftc).boundaries(
+                    p, q + p, r).contains(img):
                 # target cell collapsed; the image class must vanish there
-                if not tgt_free_is_zero(dst_pg, p, q, img):
-                    raise ValueError("map does not respect cycle spaces")
+                raise ValueError("map does not respect cycle spaces")
         out[(p, q)] = mat
     return out

@@ -25,14 +25,16 @@ from ceformality.graded import (
 )
 from ceformality.linalg import is_zero_mat, mat_add, mat_mul, mat_vec, zeros
 from ceformality.linf import (
-    LInfinityAlgebra, ce_linf_self, decalage, decalage_conjugation,
-    derived_brackets, exp_coderivation, nr_bracket, validate_linf,
-    validate_linf_morphism,
+    LInfinityAlgebra, ce_linf_self, compose_morphisms, decalage,
+    decalage_conjugation, derived_brackets, exp_coderivation, nr_bracket,
+    validate_linf, validate_linf_morphism,
 )
 from ceformality.mc import lift_to_order
 from ceformality.problems import load_problem
-from ceformality.specseq import abutment_check, page, quotient_compare
+from ceformality.specseq import abutment_check, quotient_compare
 from ceformality.formality import _euler_vector
+from page_oracle import page
+from test_formality import gauged as conjugate
 
 F = Fraction
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -231,31 +233,21 @@ def test_criterion_08_agreement():
         assert gr["verdict"] in ("FormalUpTo", "HomotopyAbelianUpTo")
         assert obs["all_vanish"]
 
-    # gauge-constructed fixtures: conjugate a quadratic structure by a
-    # random exp and demand the reduction recovers and inverts it
-    rng = random.Random(29)
-    quad = decalage(dgla_from("sl2.json"), 5)
-    for _ in range(3):
-        pb = quad.ctx.pb[2]
-        m = zeros(quad.space.dim, len(pb))
-        for c, t in enumerate(pb.elements):
-            tdeg = sum(quad.space.degrees[i] for i in t)
-            for r in range(quad.space.dim):
-                if quad.space.degrees[r] == tdeg:
-                    m[r][c] = F(rng.randint(-2, 2))
-        alpha = PowerMap(pb, quad.space, 0, m)
-        gauged, phi = exp_coderivation(quad, alpha)
+    # gauge-constructed fixtures: conjugate a minimal model that has only
+    # q₂ by a random exp and demand the reduction recovers and inverts it
+    for args in (("endu", 5, 2), ("quadcone", 4, 3), ("linf_min", 4, 2)):
+        gauged, phi = conjugate(*args)
         res = gauge_reduce(gauged)
-        assert res["verdict"] == "FormalUpTo"
-        assert res["final"].q(2).matrix == quad.q(2).matrix
+        assert res["verdict"] == "FormalUpTo" and res["steps"], args
+        assert res["final"].q(2).matrix == gauged.q(2).matrix
         assert res["final"].is_trivial_beyond_q2()
         # recovered gauge composed with the construction is an automorphism
         # of the gauged structure with identity linear part
-        from ceformality.linf import compose_morphisms
         comp = compose_morphisms(phi, res["gauge"])
         assert validate_linf_morphism(comp)["ok"]
-        ident = [[F(1) if i == j else F(0) for j in range(quad.space.dim)]
-                 for i in range(quad.space.dim)]
+        dim = gauged.space.dim
+        ident = [[F(1) if i == j else F(0) for j in range(dim)]
+                 for i in range(dim)]
         assert comp.f1(1) == ident
 
 

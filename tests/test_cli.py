@@ -317,33 +317,29 @@ def test_dgla_commands_build_no_bicomplex(capsys, monkeypatch):
 
 
 def test_ce_pages_builds_no_page_cell(capsys, monkeypatch):
-    # ce-pages reads every dimension off the barcode: no full page is
-    # built and no cycle space reduced
+    # ce-pages reads every dimension off the barcode's pairs: no cell's
+    # cycles or boundaries are spanned
     from ceformality import specseq
-    calls = {"pages": 0, "cycle_space": 0}
-    init = specseq.SpectralPage.__init__
-    cycle_space = specseq.cycle_space
+    calls = []
+    page_cell = specseq.page_cell
 
-    def counting_init(self, ftc, r):
-        calls["pages"] += 1
-        init(self, ftc, r)
+    def counting(*args):
+        calls.append(args[1:])
+        return page_cell(*args)
 
-    def counting_cycle_space(*args):
-        calls["cycle_space"] += 1
-        return cycle_space(*args)
-
-    monkeypatch.setattr(specseq.SpectralPage, "__init__", counting_init)
-    monkeypatch.setattr(specseq, "cycle_space", counting_cycle_space)
+    monkeypatch.setattr(specseq, "page_cell", counting)
     for name in ("endu.json", "quadcone.json"):
         code, out, _ = run(capsys, "ce-pages", fx(name))
         assert code == 0 and "pages.E1" in out
-    assert calls == {"pages": 0, "cycle_space": 0}
+    assert calls == []
+    code, _, _ = run(capsys, "euler", fx("endu.json"))
+    assert code == 0 and calls == [(2, 1, -1)]
 
 
 def test_barcode_fault_is_an_engine_fault(monkeypatch):
     # a rank disagreement inside the barcode's own check must surface as
     # an AssertionError, never as exit 1 "invalid input"
     from ceformality import specseq
-    monkeypatch.setattr(specseq, "rank", lambda a: 0)
+    monkeypatch.setattr(specseq, "sparse_rank", lambda columns: 0)
     with pytest.raises(AssertionError, match="dim H"):
         main(["ce-pages", fx("quadcone.json")])

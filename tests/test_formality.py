@@ -17,8 +17,9 @@ from ceformality.graded import (
 )
 from ceformality.linalg import Q0, Q1, solve, zero_vec, zeros
 from ceformality.linf import (
-    LInfinityAlgebra, decalage, derived_brackets, exp_coderivation,
-    linf_structure, nr_bracket, validate_linf, validate_linf_morphism,
+    LInfinityAlgebra, ce_linf_self, decalage, derived_brackets,
+    exp_coderivation, linf_structure, nr_bracket, validate_linf,
+    validate_linf_morphism,
 )
 from ceformality.problems import load_problem
 
@@ -161,15 +162,12 @@ def test_gauge_reduce_quadratic_is_formal():
 
 
 def test_gauge_reduce_recovers_gauged_structure():
-    # conjugating a quadratic structure produces higher terms that gauge
-    # reduction must clear again
-    rng = random.Random(19)
-    alg = decalage(sl2(), 4)
-    alpha = random_degree_map(alg.space, 2, 0, rng, alg)
-    gauged, _phi = exp_coderivation(alg, alpha)
-    res = gauge_reduce(gauged)
-    assert res["verdict"] == "FormalUpTo"
-    assert validate_linf_morphism(res["gauge"])["ok"]
+    # conjugating a minimal model that has only q₂ produces higher terms
+    # that gauge reduction must clear again, in at least one step
+    for name, make in GAUGED.items():
+        res = gauge_reduce(make())
+        assert res["verdict"] == "FormalUpTo" and res["steps"], name
+        assert validate_linf_morphism(res["gauge"])["ok"], name
 
 
 def test_formality_verdict_pipeline_not_formal():
@@ -189,6 +187,51 @@ def test_formality_verdict_bounds_guard():
         formality_verdict(sl2(), weight=2, columns=5)
     with pytest.raises(InsufficientBounds):
         formality_verdict(sl2(), weight=5, columns=3)
+
+
+def abelian():
+    """{a, c ↦ b}: an abelian DGLA, homotopy abelian with a zero minimal
+    model."""
+    return DgLieAlgebra.from_data(
+        {0: ["a", "c"], 1: ["b"]}, {"c": [("b", 1)]}, {})
+
+
+def test_degeneration_reads_the_trichotomy():
+    # formal ⟺ degenerate at E₂, read off the barcode of the minimal
+    # model's complex at (weight, columns) = (n, n + 1)
+    def first_failure(obj, n, k):
+        mm = minimal_model(linf_structure(obj, n), n)["minimal"]
+        ftc = ce_linf_self(mm, n + 1).total
+        return specseq.degenerates_at(ftc, k)[1], specseq.barcode(ftc)
+
+    assert first_failure(abelian(), 5, 1)[0] is None
+    assert first_failure(sl2(), 5, 1)[0][0] == 1
+    assert first_failure(sl2(), 5, 2)[0] is None
+    for n in (3, 4, 5):
+        first, bc = first_failure(voronov_derived(n, n=n), n, 2)
+        assert first[0] == n - 1 and (1, -1) in bc.differential_sources(n - 1)
+
+
+@pytest.mark.parametrize("name", ["sl2", "heis3", "quadcone", "endu",
+                                  "linf_min"])
+def test_formal_fixtures_pass_the_degeneration_check(name):
+    for weight, columns in ((4, 5), (5, 6), (3, 4)):
+        res = formality_verdict(fixture_algebra(name), weight, columns)
+        assert res["verdict"] == "FormalUpTo", (weight, columns)
+
+
+def test_degeneration_disagreement_is_an_engine_fault(monkeypatch):
+    assert formality_verdict(abelian(), 5, 5)["verdict"] == \
+        "HomotopyAbelianUpTo"
+    monkeypatch.setattr(formality, "degenerates_at",
+                        lambda ftc, k: (False, (k, 0, 0)))
+    for obj in (sl2(), abelian()):
+        with pytest.raises(AssertionError, match="degeneration"):
+            formality_verdict(obj, 5, 5)
+    monkeypatch.setattr(formality, "degenerates_at",
+                        lambda ftc, k: (True, None))
+    with pytest.raises(AssertionError, match="degeneration"):
+        formality_verdict(voronov_derived(5), 5, 5)
 
 
 # -- transfer criterion ------------------------------------------------------
@@ -364,17 +407,18 @@ def reference_coboundary(alg, n, m):
 
 def gauged(name, weight, arity):
     """A fixture's minimal model, which has only q₂, conjugated by exp of a
-    random degree-0 map: the gauge has higher q_i to clear again."""
+    random degree-0 map: the gauge has higher q_i to clear again.  Returns
+    the conjugate and the conjugating morphism."""
     alg = minimal_fixture(name, weight)
     alpha = random_degree_map(alg.space, arity, 0, random.Random(19), alg)
-    return exp_coderivation(alg, alpha)[0]
+    return exp_coderivation(alg, alpha)
 
 
 VORONOV = {f"voronov{n}": (lambda n=n: voronov_derived(n, n=n))
            for n in (3, 4, 5, 6)}
-GAUGED = {"gauged_endu": lambda: gauged("endu", 5, 2),
-          "gauged_quadcone": lambda: gauged("quadcone", 4, 3),
-          "gauged_linf_min": lambda: gauged("linf_min", 4, 2)}
+GAUGED = {"gauged_endu": lambda: gauged("endu", 5, 2)[0],
+          "gauged_quadcone": lambda: gauged("quadcone", 4, 3)[0],
+          "gauged_linf_min": lambda: gauged("linf_min", 4, 2)[0]}
 
 
 @pytest.mark.parametrize("make", [*GAUGED.values(), *VORONOV.values()],
@@ -400,8 +444,8 @@ def test_gauge_steps_equal_the_nr_bracket_reference(make):
     (lambda: minimal_fixture("linf_min", 5), 5),
     (lambda: minimal_fixture("quadcone", 4), 4),
     (lambda: minimal_fixture("endu", 4), 4),
-    (lambda: gauged("endu", 4, 2), 4),
-    (lambda: gauged("linf_min", 5, 2), 5),
+    (lambda: gauged("endu", 4, 2)[0], 4),
+    (lambda: gauged("linf_min", 5, 2)[0], 5),
 ], ids=[*VORONOV, "sl2", "heis3", "linf_min", "quadcone", "endu",
         "gauged_endu", "gauged_linf_min"])
 def test_kaledin_coboundary_equals_the_nr_bracket_reference(make, weight):
@@ -418,20 +462,20 @@ def test_kaledin_coboundary_equals_the_nr_bracket_reference(make, weight):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts full spectral pages built and obstruction sequences run."""
+    """Counts page cells read and obstruction sequences run."""
     calls = Counter()
-    init = specseq.SpectralPage.__init__
+    page_cell = specseq.page_cell
     sequence = formality.obstruction_sequence
 
-    def counting_init(self, ftc, r):
-        calls["pages"] += 1
-        init(self, ftc, r)
+    def counting_cell(*args):
+        calls["page_cell"] += 1
+        return page_cell(*args)
 
     def counting_sequence(*args):
         calls["obstruction_sequence"] += 1
         return sequence(*args)
 
-    monkeypatch.setattr(specseq.SpectralPage, "__init__", counting_init)
+    monkeypatch.setattr(specseq, "page_cell", counting_cell)
     monkeypatch.setattr(formality, "obstruction_sequence", counting_sequence)
     return calls
 
@@ -444,7 +488,8 @@ def test_verdict_reuses_the_gauge_obstruction_sequence(counted):
     assert res["obstruction_check"] is res["obstructions"]
     assert (res["obstructions"]["columns"], res["obstructions"]["r_max"]) \
         == (5, 3)
-    assert counted == {"obstruction_sequence": 1}
+    # the sequence reads d_2(e) and d_3(e), one cell each
+    assert counted == {"obstruction_sequence": 1, "page_cell": 2}
 
 
 def test_verdict_recomputes_the_sequence_at_other_bounds(counted):
@@ -452,13 +497,12 @@ def test_verdict_recomputes_the_sequence_at_other_bounds(counted):
     res = formality_verdict(voronov_derived(5), 5, 5)
     assert res["verdict"] == "NotFormal" and res["stage"] == 3
     assert res["obstruction_check"]["first_nonzero"] == 2
-    assert counted == {"obstruction_sequence": 2}
+    assert counted == {"obstruction_sequence": 2, "page_cell": 2}
 
 
 def test_euler_class_builds_no_page(counted):
+    # the Euler class reads its own cell of page 2 and no other
     path = os.path.join(os.path.dirname(__file__), "fixtures", "endu.json")
     res = euler_class(load_problem(path)["algebra"], 4)
     assert res["cell"] == (1, 0) and len(res["coordinates"]) > 0
-    assert counted == {}
-    specseq.page(res["complex"], 2)
-    assert counted == {"pages": 1}
+    assert counted == {"page_cell": 1}

@@ -19,7 +19,7 @@ from ceformality.linf import (
     validate_linf, validate_linf_morphism,
 )
 from ceformality.problems import load_problem
-from ceformality.specseq import page
+from page_oracle import page
 
 F = Fraction
 

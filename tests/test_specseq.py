@@ -15,8 +15,9 @@ from ceformality.linf import ce_linf_self, decalage
 from ceformality.problems import load_problem
 from ceformality.specseq import (
     Barcode, FilteredTotalComplex, abutment_check, barcode, cell_coordinates,
-    degenerates_at, page, page_cell, page_map, quotient_compare, r_max,
+    degenerates_at, page_cell, page_map, quotient_compare, r_max,
 )
+from page_oracle import page
 
 F = Fraction
 
@@ -237,16 +238,22 @@ def quadcone_total(l):
     lambda: quadcone_total(4),
 ], ids=["endu_decalage", "quadcone"])
 def test_lazy_cells_equal_full_page_cells(make):
-    lazy, full = make(), make()
-    keys = [(r, p, n - p) for r in range(r_max(full) + 1)
-            for p in range(-1, full.length + 1)
-            for n in full.space.degree_support()]
-    # read in reverse, so the lazy caches fill in another order than a page's
-    cells = {key: page_cell(lazy, *key) for key in reversed(keys)}
-    assert lazy._page_cache == {}
+    assert_cells_match_oracle(make(), make())
+
+
+def assert_cells_match_oracle(ftc, ref):
+    """Every cell read off ``ftc``'s barcode equals the block-kernel
+    oracle's cell of ``ref``, a second copy of the complex: Z_r, B_r,
+    representatives and coordinates on every page.  Barcode dimensions and
+    degeneration agree with the oracle's full pages."""
+    keys = [(r, p, n - p) for r in range(r_max(ref) + 1)
+            for p in range(-1, ref.length + 1)
+            for n in ref.space.degree_support()]
+    # read in reverse, so the cells fill in another order than a page's
+    cells = {key: page_cell(ftc, *key) for key in reversed(keys)}
     populated = 0
     for r, p, q in keys:
-        pg = page(full, r)
+        pg = page(ref, r)
         cell = cells[(r, p, q)]
         if (p, q) not in pg.cells:
             assert cell is None and pg.dim(p, q) == 0, (r, p, q)
@@ -257,16 +264,24 @@ def test_lazy_cells_equal_full_page_cells(make):
         assert cell["quot"].reps == want["quot"].reps, (r, p, q)
         for i, rep in enumerate(pg.representatives(p, q)):
             unit = [int(j == i) for j in range(pg.dim(p, q))]
-            assert cell_coordinates(lazy, r, p, q, rep) == unit
+            assert cell_coordinates(ftc, r, p, q, rep) == unit
             assert pg.coordinates(p, q, rep) == unit
         populated += 1
     assert populated
-    assert_barcode_matches_pages(full)
+    bc = barcode(ftc)
+    for r in range(r_max(ref) + 1):
+        pg = page(ref, r)
+        assert bc.dims(r) == {cell: pg.dim(*cell) for cell in pg.cells}, r
+    for k in range(r_max(ref) + 1):
+        assert degenerates_at(ftc, k) == page_scan(ref, k), k
+        for cell in page(ref, k).cells:
+            assert degenerates_at(ftc, k, cell) == page_scan(ref, k, cell)
 
 
 def page_scan(ftc, k, cell=None):
-    """``degenerates_at`` read off full pages: the first (r, p, q) with
-    k ≤ r ≤ r_max whose d_r is nonzero, scanning each page's cells in order."""
+    """``degenerates_at`` read off the oracle's full pages: the first
+    (r, p, q) with k ≤ r ≤ r_max whose d_r is nonzero, scanning each page's
+    cells in order."""
     for r in range(k, r_max(ftc) + 1):
         pg = page(ftc, r)
         for (p, q) in ([tuple(cell)] if cell else sorted(pg.cells)):
@@ -275,23 +290,29 @@ def page_scan(ftc, k, cell=None):
     return True, None
 
 
-def assert_barcode_matches_pages(ftc):
-    """Barcode dimensions and degeneration agree with the per-cell engine's
-    full pages on every page and cell."""
-    bc = barcode(ftc)
-    for r in range(r_max(ftc) + 1):
-        pg = page(ftc, r)
-        assert bc.dims(r) == {cell: pg.dim(*cell) for cell in pg.cells}, r
-    for k in range(r_max(ftc) + 1):
-        assert degenerates_at(ftc, k) == page_scan(ftc, k), k
-        for cell in page(ftc, k).cells:
-            assert degenerates_at(ftc, k, cell) == page_scan(ftc, k, cell)
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_barcode_matches_random_pages(seed):
-    ftc = random_filtered_complex(seed, dim=8, length=2 + seed % 3)
-    assert_barcode_matches_pages(ftc)
+    def make():
+        return random_filtered_complex(seed, dim=8, length=2 + seed % 3)
+    assert_cells_match_oracle(make(), make())
+
+
+def test_barcode_is_reduced_once_per_complex(monkeypatch):
+    # every cell, coordinate, dimension and degeneration read shares the
+    # complex's one reduction; quotient_compare adds the quotient's own
+    reductions = []
+    init = Barcode.__init__
+
+    def counting(self, ftc):
+        reductions.append(ftc)
+        init(self, ftc)
+
+    monkeypatch.setattr(Barcode, "__init__", counting)
+    ftc, ref = quadcone_total(4), quadcone_total(4)
+    assert_cells_match_oracle(ftc, ref)
+    assert reductions == [ftc]
+    quotient_compare(ftc, 2)
+    assert len(reductions) == 2 and reductions[1] is not ftc
 
 
 def test_barcode_reads_the_collapse():
@@ -314,17 +335,13 @@ def test_barcode_checks_are_engine_faults():
         bc._check()
 
 
-def test_cycle_spaces_reduce_each_block_once(monkeypatch):
-    """Triples (p, n, r) whose blocks of d agree share one kernel."""
-    blocks = []
-    block_kernel = specseq.block_kernel
-
-    def counting(a, rows, cols, ambient):
-        blocks.append((tuple(rows), tuple(cols)))
-        return block_kernel(a, rows, cols, ambient)
-
-    monkeypatch.setattr(specseq, "block_kernel", counting)
-    ftc = quadcone_total(4)
-    for r in range(r_max(ftc) + 1):
-        page(ftc, r)
-    assert blocks and len(blocks) == len(set(blocks))
+def test_sparse_rank_equals_dense_rank():
+    ftc = random_filtered_complex(3, dim=9)
+    d = ftc.differential.matrix
+    for n in ftc.space.degree_support():
+        cols = ftc.space.indices_in_degree(n)
+        rows = ftc.space.indices_in_degree(n + 1)
+        sparse = [{i: d[i][x] for i in rows if d[i][x]} for x in cols]
+        block = [[d[i][x] for x in cols] for i in rows]
+        assert specseq.sparse_rank(sparse) == \
+            (rank(block) if rows and cols else 0)
