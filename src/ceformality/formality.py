@@ -12,14 +12,13 @@ from .dgla import (
 )
 from .graded import GradedMap, PowerMap
 from .linalg import (
-    Q1, is_zero_mat, mat_add, mat_mul, mat_sub, mat_vec, rank, solve,
-    solve_right, vec_sub, zero_vec, zeros,
+    Q1, mat_add, mat_mul, mat_sub, mat_vec, rank, solve, solve_right,
+    vec_sub, zero_vec, zeros,
 )
 from .linf import (
     InsufficientBounds, LInfinityAlgebra, LInfinityMorphism, LinfCeComplex,
-    ce_linf_self, coder_lift_block, compose_morphisms, exp_coderivation,
-    identity_morphism, linf_structure, nr_bracket, validate_linf,
-    validate_linf_morphism,
+    ce_linf_self, compose_morphisms, exp_coderivation, identity_morphism,
+    linf_structure, nr_bracket, validate_linf, validate_linf_morphism,
 )
 from .specseq import barcode, cell_coordinates, degenerates_at, page_map
 
@@ -133,24 +132,20 @@ def obstruction_sequence(alg, l, r_max):
             "columns": l}
 
 
-def _morphism_block(f, k, n):
-    """Weight-(n → k) block of the coalgebra morphism determined by f."""
-    sctx, tctx = f.source.ctx, f.target.ctx
-    pb_in, pb_out = sctx.pb[n], tctx.pb[k]
-    m = zeros(len(pb_out), len(pb_in))
-    for c, t in enumerate(pb_in.elements):
-        val = f.component_value(t)
-        for r in range(len(pb_out)):
-            m[r][c] = val[tctx.index(k, r)]
-    return m
-
-
 def minimal_model(alg, bound):
     """Homotopy transfer onto H*(V, q₁), truncated at the weight bound.
 
-    Returns {"minimal": W, "into": g: W→V, "onto": f: V→W, "contraction"},
-    with both morphisms validated and f∘g the identity up to the bound.
+    The input's relations are checked first: one that fails them raises
+    ValueError naming the first failing weight and tuple.  Returns
+    {"minimal": W, "into": g: W→V, "onto": f: V→W, "contraction"}, with the
+    relations of W, both morphisms and f∘g = id checked up to the bound on
+    corestrictions, which reuse the transfer's memoized lifts.
     """
+    rep = validate_linf(alg)
+    if not rep["ok"]:
+        first = rep["failures"][0]
+        raise ValueError(f"structure fails its relations at weight "
+                         f"{first['weight']} ({first['tuple']})")
     cx = CochainComplex(
         alg.space, GradedMap(alg.space, alg.space, 1, alg.q(1).matrix))
     con = cohomology(cx)
@@ -167,26 +162,20 @@ def minimal_model(alg, bound):
         # known transferred terms entering through the coderivation lift
         lifts = zeros(alg.space.dim, len(pb_n))
         for m_w in range(2, n):
-            rm = w_alg.taylor.get(m_w)
-            if rm is None:
-                continue
-            block = coder_lift_block(rm, w_alg.ctx, n)
-            lifts = mat_add(lifts, mat_mul(g.f1(n - m_w + 1), block))
+            if m_w in w_alg.taylor:
+                lifts = mat_add(lifts, mat_mul(g.f1(n - m_w + 1),
+                                               w_alg.lift(m_w, n)))
         # known structure terms through the morphism components
         blocks = zeros(alg.space.dim, len(pb_n))
         for k in range(2, n + 1):
             qk = alg.taylor.get(k)
             if qk is None:
                 continue
-            blocks = mat_add(blocks,
-                             mat_mul(qk.matrix, _morphism_block(g, k, n)))
+            blocks = mat_add(blocks, mat_mul(qk.matrix, g.block(k, n)))
         x_n = mat_sub(blocks, lifts)
         r_n = mat_mul(pmat, x_n)
         g_n = mat_mul(hmat, x_n)
-        if not is_zero_mat(r_n):
-            w_alg.taylor[n] = PowerMap(pb_n, hspace, 1, r_n)
-            w_alg._qhat = None
-            w_alg._ce.clear()
+        w_alg.set_q(n, r_n)
         g.set_component(n, g_n)
         # exact arity-n morphism identity as the correctness gate
         lhs = mat_add(mat_mul(imat, r_n), lifts)
@@ -200,24 +189,21 @@ def minimal_model(alg, bound):
     for n in range(2, bound + 1):
         pb_nv = alg.ctx.pb[n]
         pb_nw = w_alg.ctx.pb[n]
-        d_n = coder_lift_block(alg.q(1), alg.ctx, n)
+        d_n = alg.lift(1, n)
         y_n = zeros(hspace.dim, len(pb_nv))
         for k in range(2, n + 1):
             rk = w_alg.taylor.get(k)
             if rk is None:
                 continue
-            y_n = mat_add(y_n, mat_mul(rk.matrix, _morphism_block(f, k, n)))
+            y_n = mat_add(y_n, mat_mul(rk.matrix, f.block(k, n)))
         for j in range(1, n):
-            qk = alg.taylor.get(n - j + 1)
-            if qk is None:
-                continue
-            block = coder_lift_block(qk, alg.ctx, n)
-            y_n = mat_sub(y_n, mat_mul(f.f1(j), block))
+            if n - j + 1 in alg.taylor:
+                y_n = mat_sub(y_n, mat_mul(f.f1(j), alg.lift(n - j + 1, n)))
         # f∘g identity at arity n pins the values on transferred tuples
         z_n = zeros(hspace.dim, len(pb_nw))
         for a in range(1, n):
-            z_n = mat_sub(z_n, mat_mul(f.f1(a), _morphism_block(g, a, n)))
-        b_n = _morphism_block(g, n, n)
+            z_n = mat_sub(z_n, mat_mul(f.f1(a), g.block(a, n)))
+        b_n = g.block(n, n)
         a_cat = [da + ba for da, ba in zip(d_n, b_n)]
         rhs_cat = [ya + za for ya, za in zip(y_n, z_n)]
         sol = solve_right(a_cat, rhs_cat)

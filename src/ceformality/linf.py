@@ -49,8 +49,7 @@ class SymContext:
 
     def weight_slice(self, n):
         """Positions of the weight-n block in the flat basis, as a slice:
-        ``[row[ctx.weight_slice(n)] for row in big[other.weight_slice(k)]]``
-        reads a weight n → k block of a matrix on flat bases."""
+        ``vec[ctx.weight_slice(n)]`` reads the weight-n part of a vector."""
         start = self._starts[n]
         return slice(start, start + len(self.pb[n]))
 
@@ -108,7 +107,10 @@ def nr_bracket(f, g, ctx=None):
 
 class LInfinityAlgebra:
     """(V, q₁, q₂, …) truncated at weight N: all q_n with n > N are zero by
-    declaration and every identity is asserted modulo that truncation."""
+    declaration and every identity is asserted modulo that truncation.
+
+    Coderivation lifts are memoized; ``set_q`` is the one way to change a
+    q_n after construction, since it drops the stale ones."""
 
     def __init__(self, space, taylor, bound):
         self.space = space
@@ -116,13 +118,14 @@ class LInfinityAlgebra:
         self.ctx = SymContext(space, bound)
         self.taylor = {}
         for n, qn in taylor.items():
-            if n > bound:
-                raise ValueError("taylor coefficient beyond the weight bound")
+            if n < 1 or n > bound:
+                raise ValueError("taylor coefficient outside arities 1..N "
+                                 "of the weight bound")
             if qn.degree != 1:
                 raise ValueError("taylor coefficients must have degree +1")
             if not qn.is_zero():
                 self.taylor[n] = qn
-        self._qhat = None
+        self._lifts = {}
         self._ce = {}
 
     def q(self, n):
@@ -131,44 +134,62 @@ class LInfinityAlgebra:
         return PowerMap.zero(self.ctx.pb[n], self.space, 1) \
             if n <= self.bound else None
 
+    def set_q(self, n, m):
+        """Replace q_n by the matrix m (a zero m removes it), dropping the
+        lifts of q_n and every coderivation complex, which read it."""
+        if is_zero_mat(m):
+            self.taylor.pop(n, None)
+        else:
+            self.taylor[n] = PowerMap(self.ctx.pb[n], self.space, 1, m)
+        self._lifts = {key: b for key, b in self._lifts.items()
+                       if key[0] != n}
+        self._ce.clear()
+
+    def lift(self, k, n):
+        """``coder_lift_block`` of q_k on weight n: the weight n → n−k+1
+        block of the codifferential.  Memoized and shared between calls:
+        callers must not mutate it."""
+        out = self._lifts.get((k, n))
+        if out is None:
+            out = self._lifts[(k, n)] = coder_lift_block(self.q(k), self.ctx,
+                                                         n)
+        return out
+
     def is_minimal(self):
         return 1 not in self.taylor
 
     def is_trivial_beyond_q2(self):
         return all(n <= 2 for n in self.taylor)
 
-    def qhat(self):
-        """Big matrix of the codifferential on ⊕_{n≤N} V^⊙n."""
-        if self._qhat is None:
-            ctx = self.ctx
-            m = zeros(ctx.dim, ctx.dim)
-            for n in range(1, ctx.bound + 1):
-                for k, qk in self.taylor.items():
-                    if k <= n:
-                        _add_block(m, ctx, n - k + 1, n,
-                                   coder_lift_block(qk, ctx, n))
-            self._qhat = m
-        return self._qhat
+
+def _failures(labels, pb, n, residual):
+    """One failure per nonzero column of a residual on the weight-n tuples:
+    the weight, the tuple and its first nonzero entries."""
+    out = []
+    for c, t in enumerate(pb.elements):
+        col = [row[c] for row in residual if row[c]]
+        if col:
+            out.append({"weight": n, "tuple": "⊙".join(labels[i] for i in t),
+                        "residual": col[:4]})
+    return out
 
 
 def validate_linf(alg):
     """Check the quadratic relations mod weight truncation.
 
-    Equivalent to the square of the big codifferential vanishing on the
-    truncated coalgebra; failures are reported with the source weight,
-    basis tuple and residual vector.
+    q̂² is a coderivation, so it vanishes iff its corestriction to the
+    cogenerators does: J_n = Σ_{k+m=n+1} q_m ∘ lift(q_k, n) for each
+    weight n ≤ N.  A failure names the weight and basis tuple where J_n is
+    nonzero, with its first residual entries; the first failing weight is
+    the least weight on which q̂² is nonzero.
     """
-    ctx = alg.ctx
-    qq = mat_mul(alg.qhat(), alg.qhat())
     failures = []
-    for n in range(1, ctx.bound + 1):
-        for t_pos, t in enumerate(ctx.pb[n].elements):
-            c = ctx.index(n, t_pos)
-            col = [qq[r][c] for r in range(ctx.dim)]
-            if not is_zero_vec(col):
-                label = "⊙".join(alg.space.labels[i] for i in t)
-                failures.append({"weight": n, "tuple": label, "residual": [
-                    x for x in col if x][:4]})
+    for n in range(1, alg.bound + 1):
+        res = zeros(alg.space.dim, len(alg.ctx.pb[n]))
+        for m, qm in alg.taylor.items():
+            if m <= n and n - m + 1 in alg.taylor:
+                res = mat_add(res, mat_mul(qm.matrix, alg.lift(n - m + 1, n)))
+        failures += _failures(alg.space.labels, alg.ctx.pb[n], n, res)
     return {"ok": not failures, "failures": failures}
 
 
@@ -246,7 +267,6 @@ class LInfinityMorphism:
         self.target = target
         self.components = {j: m for j, m in components.items()
                            if not is_zero_mat(m)}
-        self._big = None
         self._values = {}
 
     def f1(self, j):
@@ -261,7 +281,6 @@ class LInfinityMorphism:
             self.components.pop(j, None)
         else:
             self.components[j] = m
-        self._big = None
         self._values = {t: v for t, v in self._values.items() if len(t) < j}
 
     @property
@@ -324,46 +343,50 @@ class LInfinityMorphism:
                                 s_out * x * y
         return out
 
-    def big_matrix(self):
-        """Matrix of the full coalgebra morphism on the truncated bases."""
-        if self._big is None:
-            sctx, tctx = self.source.ctx, self.target.ctx
-            m = zeros(tctx.dim, sctx.dim)
-            for c, (n, t_pos) in enumerate(sctx.flat):
-                val = self.component_value(sctx.pb[n].elements[t_pos])
-                for r in range(tctx.dim):
-                    m[r][c] = val[r]
-            self._big = m
-        return self._big
+    def block(self, k, n):
+        """Weight n → k block F_{k←n} of the coalgebra morphism, read from
+        the memoized values (k at most the target's weight bound)."""
+        rows = self.target.ctx.weight_slice(k)
+        pb_in = self.source.ctx.pb[n]
+        m = zeros(rows.stop - rows.start, len(pb_in))
+        for c, t in enumerate(pb_in.elements):
+            for r, x in enumerate(self.component_value(t)[rows]):
+                m[r][c] = x
+        return m
 
 
 def validate_linf_morphism(f):
-    """Check fQ = Rf on the truncated coalgebra (plus f(1) = 1)."""
+    """Check f Q̂ = R̂ f on the truncated coalgebra (plus f(1) = 1).
+
+    f Q̂ − R̂ f is a coderivation along f, so it vanishes iff its
+    corestriction does: Σ_k f¹_{n−k+1} ∘ lift(q_k, n) = Σ_m r_m ∘ F_{m←n}
+    for each weight n ≤ N, F_{m←n} the weight n → m block of f."""
     src, tgt = f.source, f.target
-    big = f.big_matrix()
-    lhs = mat_mul(big, src.qhat())
-    rhs = mat_mul(tgt.qhat(), big)
     failures = []
-    sctx = src.ctx
-    for c, (n, t_pos) in enumerate(sctx.flat):
-        col = [lhs[r][c] - rhs[r][c] for r in range(tgt.ctx.dim)]
-        if not is_zero_vec(col):
-            t = sctx.pb[n].elements[t_pos]
-            failures.append({
-                "weight": n,
-                "tuple": "⊙".join(src.space.labels[i] for i in t)})
-    unit_ok = big[tgt.ctx.index(0, 0)][sctx.index(0, 0)] == 1
+    for n in range(1, src.bound + 1):
+        res = zeros(tgt.space.dim, len(src.ctx.pb[n]))
+        for k in src.taylor:
+            if k <= n:
+                res = mat_add(res, mat_mul(f.f1(n - k + 1), src.lift(k, n)))
+        for m, rm in tgt.taylor.items():
+            if m <= n:
+                res = mat_sub(res, mat_mul(rm.matrix, f.block(m, n)))
+        failures += _failures(src.space.labels, src.ctx.pb[n], n, res)
+    unit_ok = f.component_value(())[tgt.ctx.index(0, 0)] == 1
     return {"ok": not failures and unit_ok, "unit": unit_ok,
             "failures": failures}
 
 
 def compose_morphisms(g, f):
-    """g ∘ f, recovering corestriction components from the big matrices."""
-    big = mat_mul(g.big_matrix(), f.big_matrix())
-    w1 = big[g.target.ctx.weight_slice(1)]
+    """g ∘ f through its corestriction: (g∘f)¹_j = Σ_k g¹_k ∘ F_{k←j}."""
     sctx = f.source.ctx
-    comps = {j: [row[sctx.weight_slice(j)] for row in w1]
-             for j in range(1, sctx.bound + 1)}
+    comps = {}
+    for j in range(1, sctx.bound + 1):
+        m = zeros(g.target.space.dim, len(sctx.pb[j]))
+        for k, gk in g.components.items():
+            if k <= j:
+                m = mat_add(m, mat_mul(gk, f.block(k, j)))
+        comps[j] = m
     return LInfinityMorphism(f.source, g.target, comps)
 
 
@@ -373,63 +396,33 @@ def identity_morphism(alg):
 
 def exp_coderivation(alg, alpha):
     """Conjugate the structure by exp of the lift of a degree-0 map of
-    arity ≥ 2.
+    arity a ≥ 2.
 
     Returns (new LInfinityAlgebra R with r = e^{−α̂} q e^{α̂}, morphism
-    e^{α̂}: (V,R) → (V,Q)).
+    e^{α̂}: (V,R) → (V,Q)), both through corestrictions:
+    r = Σ_i (−1)^i/i! ad_α^i(q) with ad_α = [α, −]_NR, and the component of
+    e^{α̂} on weight i(a−1)+1 is (1/i!) α ∘ α̂ ∘ … ∘ α̂ (i factors).
     """
     if alpha.degree != 0 or alpha.arity < 2:
         raise ValueError("gauge generator must be a degree-0 map of arity ≥ 2")
-    ctx = alg.ctx
-    lift = zeros(ctx.dim, ctx.dim)
-    for n in range(alpha.arity - 1, ctx.bound + 1):
-        _add_block(lift, ctx, n - alpha.arity + 1, n,
-                   coder_lift_block(alpha, ctx, n))
-    expm = _exp_nilpotent(lift)
-    expm_inv = _exp_nilpotent([[-x for x in row] for row in lift])
-    conj = mat_mul(expm_inv, mat_mul(alg.qhat(), expm))
-    w1 = ctx.weight_slice(1)
-    taylor = {}
-    comps = {}
-    for j in range(1, ctx.bound + 1):
-        cols = ctx.weight_slice(j)
-        m = [row[cols] for row in conj[w1]]
-        if not is_zero_mat(m):
-            taylor[j] = PowerMap(ctx.pb[j], alg.space, 1, m)
-        comps[j] = [row[cols] for row in expm[w1]]
-    new_alg = LInfinityAlgebra(alg.space, taylor, alg.bound)
+    a, ctx = alpha.arity, alg.ctx
+    taylor, term, i = dict(alg.taylor), alg.taylor, 0
+    while term:
+        # term = (−1)^i/i! ad_α^i(q), by arity
+        i += 1
+        term = {k + a - 1: nr_bracket(alpha, t, ctx).scale(Fraction(-1, i))
+                for k, t in term.items() if k + a - 1 <= alg.bound}
+        for j, t in term.items():
+            taylor[j] = taylor[j].add(t) if j in taylor else t
+    comps, chain = {1: identity(alg.space.dim)}, alpha.matrix
+    for i, j in enumerate(range(a, alg.bound + 1, a - 1), 1):
+        if i > 1:
+            chain = [[x / i for x in row] for row in
+                     mat_mul(chain, coder_lift_block(alpha, ctx, j))]
+        comps[j] = chain
+    new_alg = LInfinityAlgebra(alg.space, dict(sorted(taylor.items())),
+                               alg.bound)
     return new_alg, LInfinityMorphism(new_alg, alg, comps)
-
-
-def _add_block(big, ctx, out_w, in_w, block):
-    """Add a weight in_w → out_w block into a matrix on ctx's flat basis.
-
-    Only nonzero entries are added, so the zeros stay the shared Q0."""
-    start = ctx.weight_slice(in_w).start
-    for row, brow in zip(big[ctx.weight_slice(out_w)], block):
-        for c, x in enumerate(brow):
-            if x:
-                row[start + c] += x
-
-
-def _exp_nilpotent(m):
-    n = len(m)
-    out = identity(n)
-    term = identity(n)
-    k = 0
-    while True:
-        k += 1
-        term = mat_mul(term, m)
-        if is_zero_mat(term):
-            break
-        inv = Fraction(1)
-        for t in range(1, k + 1):
-            inv /= t
-        out = [[out[i][j] + inv * term[i][j] for j in range(n)]
-               for i in range(n)]
-        if k > n:
-            raise ValueError("exp argument is not nilpotent")
-    return out
 
 
 class LinfCeComplex(ColumnComplex):
@@ -500,15 +493,14 @@ class LinfCeComplex(ColumnComplex):
                                 m[rows[r]][pos] += v * x
 
     def _add_q_part(self, m, p, j):
-        """−(−1)^{ᾱ} α ∘ Q̂ from weight j to weight p, through one
-        coderivation lift of q_{j−p+1}."""
+        """−(−1)^{ᾱ} α ∘ Q̂ from weight j to weight p, through the
+        memoized coderivation lift of q_{j−p+1}."""
         src, tgt = self.f.source, self.f.target
-        qk = src.taylor.get(j - p + 1)
-        if qk is None:
+        if j - p + 1 not in src.taylor:
             return
         pb = src.ctx.pb[p]
         col, out = self.columns[p], self.columns[j]
-        for t_pos, brow in enumerate(coder_lift_block(qk, src.ctx, j)):
+        for t_pos, brow in enumerate(src.lift(j - p + 1, j)):
             tdeg = pb.degree(t_pos)
             for u_pos, x in enumerate(brow):
                 if not x:
@@ -522,8 +514,8 @@ class LinfCeComplex(ColumnComplex):
 def ce_linf_self(alg, l):
     """C_CE(V, V) on l columns, the coderivation complex of the identity,
     whose block from column p to column j is [q_{j−p+1}, −]_NR.  One
-    complex per column bound is kept on ``alg``, beside its codifferential,
-    so the gauge's failing stage and the obstruction check share it."""
+    complex per column bound is kept on ``alg``, beside its lifts, so the
+    gauge's failing stage and the obstruction check share it."""
     ce = alg._ce.get(l)
     if ce is None:
         ce = alg._ce[l] = LinfCeComplex(identity_morphism(alg), l)

@@ -236,12 +236,8 @@ def test_ce_pages_refuses_fewer_than_one_column(capsys, name, columns):
     assert "column bound must be at least 1" in err
 
 
-# sl2_bad is left out: minimal-model and formality on it still raise
-# (recorded under "raised" in its goldens) until problem files are
-# validated before every structural command
 @pytest.mark.parametrize("weight", range(5))
-@pytest.mark.parametrize("name", sorted(
-    set(os.listdir(FIXTURES)) - {"sl2_bad.json"}))
+@pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)))
 @pytest.mark.parametrize("command", [
     "minimal-model", "kaledin", "obstructions", "formality"])
 def test_small_weights_exit_cleanly(capsys, command, name, weight):
@@ -295,6 +291,60 @@ def test_voronov_family_witness(capsys, tmp_path, n):
     assert report["witness"] == {
         "r": n - 1, "cell": [n, 1 - n],
         "coordinates": [str((-1) ** n * math.factorial(n) * (n - 2))]}
+
+
+def end_u(k):
+    """End(U_k) as a dg-Lie algebra: U_k has h1..hk and e in degree 0 and f
+    in degree 1, with d_U e = f.  The basis vector "xy" is the matrix unit
+    y ↦ x, of degree |x| − |y|; d = [d_U, −] and the bracket is the graded
+    commutator.  End of a complex over a field is formal, with minimal model
+    gl_k = End(H U_k) in degree 0."""
+    units = [f"h{i}" for i in range(1, k + 1)] + ["e", "f"]
+    deg = {u: int(u == "f") for u in units}
+    basis = [(x, y) for x in units for y in units]
+
+    def mul(a, b):
+        # E_xy E_zw = δ_yz E_xw
+        return {(a[0], b[1]): 1} if a[1] == b[0] else {}
+
+    def bracket(a, b):
+        # [φ, ψ] = φψ − (−1)^{|φ||ψ|} ψφ
+        da, db = deg[a[0]] - deg[a[1]], deg[b[0]] - deg[b[1]]
+        sign = -1 if da * db % 2 else 1
+        out = dict(mul(a, b))
+        for key, c in mul(b, a).items():
+            out[key] = out.get(key, 0) - sign * c
+        return [["".join(key), str(c)] for key, c in out.items() if c]
+
+    d_u = ("f", "e")
+    space = {}
+    for x, y in basis:
+        space.setdefault(str(deg[x] - deg[y]), []).append(x + y)
+    brackets = []
+    for i, a in enumerate(basis):
+        for b in basis[i:]:
+            terms = bracket(a, b)
+            if terms:
+                brackets.append({"inputs": ["".join(a), "".join(b)],
+                                 "terms": terms})
+    differential = [{"input": "".join(a), "terms": bracket(d_u, a)}
+                    for a in basis if bracket(d_u, a)]
+    return {"kind": "dgla", "field": "Q", "space": space,
+            "differential": differential, "brackets": brackets}
+
+
+@pytest.mark.parametrize("k, bounds, verdict", [
+    (1, (), "HomotopyAbelianUpTo"),
+    (2, ("--weight", "4", "--columns", "4"), "FormalUpTo")])
+def test_end_u_family_verdicts(capsys, tmp_path, k, bounds, verdict):
+    path = tmp_path / f"end_u{k}.json"
+    path.write_text(json.dumps(end_u(k)))
+    code, out, _ = run(capsys, "validate", str(path), "--format", "json")
+    assert code == 0 and json.loads(out)["valid"]
+    code, out, _ = run(capsys, "formality", str(path), *bounds,
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)["verdict"] == verdict
 
 
 def test_dgla_commands_build_no_bicomplex(capsys, monkeypatch):

@@ -4,22 +4,25 @@ from fractions import Fraction
 
 import pytest
 
+from ceformality.cli import _algebra
 from ceformality.dgla import DgLieAlgebra, dgla_is_valid
 from ceformality.formality import minimal_model
 from ceformality.graded import (
     GradedVectorSpace, PowerBasis, PowerMap, SYMMETRIC, koszul_sign,
 )
 from ceformality.linalg import (
-    Q0, Q1, is_zero_mat, is_zero_vec, mat_mul, zero_vec, zeros,
+    Q0, Q1, identity, is_zero_mat, is_zero_vec, mat_mul, zero_vec, zeros,
 )
 from ceformality.linf import (
-    LInfinityAlgebra, LInfinityMorphism, ce_linf_self, coder_lift_block,
-    compose_morphisms, decalage, decalage_conjugation, derived_brackets,
-    exp_coderivation, identity_morphism, nr_bracket, undecalage,
-    validate_linf, validate_linf_morphism,
+    LInfinityAlgebra, LInfinityMorphism, LinfCeComplex, ce_linf_self,
+    coder_lift_block, compose_morphisms, decalage, decalage_conjugation,
+    derived_brackets, exp_coderivation, identity_morphism, linf_structure,
+    nr_bracket, undecalage, validate_linf, validate_linf_morphism,
 )
-from ceformality.problems import load_problem
+from ceformality.problems import load_problem, parse_problem
 from page_oracle import page
+from test_cli import end_u
+from test_formality import VORONOV, gauged
 
 F = Fraction
 
@@ -97,6 +100,15 @@ def test_taylor_coefficients_must_raise_degree():
     m = zeros(v.dim, len(pb))
     with pytest.raises(ValueError):
         LInfinityAlgebra(v, {2: PowerMap(pb, v, 0, m)}, 3)
+
+
+def test_taylor_coefficients_start_at_arity_one():
+    # a curvature q₀ has no place in the relations J_n the checks read
+    v = GradedVectorSpace({0: ["s"], 1: ["t"]})
+    pb = PowerBasis(v, SYMMETRIC, 0)
+    q0 = PowerMap(pb, v, 1, [[Q0], [Q1]])
+    with pytest.raises(ValueError, match="arities 1..N"):
+        LInfinityAlgebra(v, {0: q0}, 3)
 
 
 # -- coderivation lifts and the NR bracket ------------------------------
@@ -197,7 +209,7 @@ def assert_matches_fresh(f):
     fresh = LInfinityMorphism(f.source, f.target, f.components)
     for t in all_tuples(f.source.ctx):
         assert f.component_value(t) == fresh.component_value(t), t
-    assert f.big_matrix() == fresh.big_matrix()
+    assert big_matrix(f) == big_matrix(fresh)
 
 
 def set_partitions(items):
@@ -295,7 +307,7 @@ def test_set_component_drops_exactly_the_stale_values(longest, j):
     # above it, and every arity's new component changes some value
     phi = gauge_morphism()
     if longest == phi.source.bound:
-        phi.big_matrix()
+        big_matrix(phi)
     else:
         for t in all_tuples(phi.source.ctx):
             if len(t) <= longest:
@@ -310,7 +322,7 @@ def test_set_component_drops_exactly_the_stale_values(longest, j):
 
 def test_set_component_to_zero_removes_it():
     phi = gauge_morphism()
-    phi.big_matrix()
+    big_matrix(phi)
     phi.set_component(3, zeros(phi.target.space.dim,
                                len(phi.source.ctx.pb[3])))
     assert 3 not in phi.components
@@ -337,6 +349,276 @@ def test_minimal_model_morphism_values_match_fresh(make):
     mm = minimal_model(decalage(make(), 4), 4)
     for side in ("into", "onto"):
         assert_matches_fresh(mm[side])
+
+
+# -- dense references on ⊕_{n≤N} V^⊙n -------------------------------------
+
+
+def add_block(big, ctx, out_w, in_w, block):
+    """Add a weight in_w → out_w block into a matrix on ctx's flat basis."""
+    start = ctx.weight_slice(in_w).start
+    for row, brow in zip(big[ctx.weight_slice(out_w)], block):
+        for c, x in enumerate(brow):
+            if x:
+                row[start + c] += x
+
+
+def qhat(alg):
+    """Square matrix of the codifferential on ⊕_{n≤N} V^⊙n."""
+    ctx = alg.ctx
+    m = zeros(ctx.dim, ctx.dim)
+    for n in range(1, ctx.bound + 1):
+        for k, qk in alg.taylor.items():
+            if k <= n:
+                add_block(m, ctx, n - k + 1, n, coder_lift_block(qk, ctx, n))
+    return m
+
+
+def big_matrix(f):
+    """Matrix of the full coalgebra morphism on the truncated bases."""
+    sctx, tctx = f.source.ctx, f.target.ctx
+    m = zeros(tctx.dim, sctx.dim)
+    for c, (n, t_pos) in enumerate(sctx.flat):
+        val = f.component_value(sctx.pb[n].elements[t_pos])
+        for r in range(tctx.dim):
+            m[r][c] = val[r]
+    return m
+
+
+def dense_validate_linf(alg):
+    """q̂² = 0 on every column of the truncated coalgebra."""
+    ctx = alg.ctx
+    qq = mat_mul(qhat(alg), qhat(alg))
+    failures = []
+    for n in range(1, ctx.bound + 1):
+        for t_pos, t in enumerate(ctx.pb[n].elements):
+            c = ctx.index(n, t_pos)
+            col = [qq[r][c] for r in range(ctx.dim)]
+            if not is_zero_vec(col):
+                label = "⊙".join(alg.space.labels[i] for i in t)
+                failures.append({"weight": n, "tuple": label, "residual": [
+                    x for x in col if x][:4]})
+    return {"ok": not failures, "failures": failures}
+
+
+def dense_validate_linf_morphism(f):
+    """f Q̂ = R̂ f on every column of the truncated coalgebra, and f(1) = 1."""
+    src, tgt = f.source, f.target
+    big = big_matrix(f)
+    lhs = mat_mul(big, qhat(src))
+    rhs = mat_mul(qhat(tgt), big)
+    failures = []
+    sctx = src.ctx
+    for c, (n, t_pos) in enumerate(sctx.flat):
+        col = [lhs[r][c] - rhs[r][c] for r in range(tgt.ctx.dim)]
+        if not is_zero_vec(col):
+            t = sctx.pb[n].elements[t_pos]
+            failures.append({
+                "weight": n,
+                "tuple": "⊙".join(src.space.labels[i] for i in t)})
+    unit_ok = big[tgt.ctx.index(0, 0)][sctx.index(0, 0)] == 1
+    return {"ok": not failures and unit_ok, "unit": unit_ok,
+            "failures": failures}
+
+
+def dense_compose_morphisms(g, f):
+    """g ∘ f, its components read off the product of the big matrices."""
+    big = mat_mul(big_matrix(g), big_matrix(f))
+    w1 = big[g.target.ctx.weight_slice(1)]
+    sctx = f.source.ctx
+    comps = {j: [row[sctx.weight_slice(j)] for row in w1]
+             for j in range(1, sctx.bound + 1)}
+    return LInfinityMorphism(f.source, g.target, comps)
+
+
+def exp_nilpotent(m):
+    n = len(m)
+    out = identity(n)
+    term = identity(n)
+    k = 0
+    while True:
+        k += 1
+        term = mat_mul(term, m)
+        if is_zero_mat(term):
+            return out
+        inv = Fraction(1)
+        for t in range(1, k + 1):
+            inv /= t
+        out = [[out[i][j] + inv * term[i][j] for j in range(n)]
+               for i in range(n)]
+        assert k <= n, "exp argument is not nilpotent"
+
+
+def dense_exp_coderivation(alg, alpha):
+    """(R, e^{α̂}) with r read off e^{−α̂} Q̂ e^{α̂} as square matrices."""
+    ctx = alg.ctx
+    lift = zeros(ctx.dim, ctx.dim)
+    for n in range(alpha.arity - 1, ctx.bound + 1):
+        add_block(lift, ctx, n - alpha.arity + 1, n,
+                  coder_lift_block(alpha, ctx, n))
+    expm = exp_nilpotent(lift)
+    expm_inv = exp_nilpotent([[-x for x in row] for row in lift])
+    conj = mat_mul(expm_inv, mat_mul(qhat(alg), expm))
+    w1 = ctx.weight_slice(1)
+    taylor = {}
+    comps = {}
+    for j in range(1, ctx.bound + 1):
+        cols = ctx.weight_slice(j)
+        m = [row[cols] for row in conj[w1]]
+        if not is_zero_mat(m):
+            taylor[j] = PowerMap(ctx.pb[j], alg.space, 1, m)
+        comps[j] = [row[cols] for row in expm[w1]]
+    new_alg = LInfinityAlgebra(alg.space, taylor, alg.bound)
+    return new_alg, LInfinityMorphism(new_alg, alg, comps)
+
+
+def first_weight(rep):
+    return rep["failures"][0]["weight"] if rep["failures"] else None
+
+
+def assert_same_verdict(rep, dense):
+    """Equal ok, unit and first failing weight; the corestriction's failing
+    tuples are among the dense ones."""
+    assert (rep["ok"], rep.get("unit"), first_weight(rep)) == \
+        (dense["ok"], dense.get("unit"), first_weight(dense))
+    assert {(x["weight"], x["tuple"]) for x in rep["failures"]} <= \
+        {(x["weight"], x["tuple"]) for x in dense["failures"]}
+
+
+def taylor_of(alg):
+    return {n: q.matrix for n, q in alg.taylor.items()}
+
+
+def assert_morphism_matches_dense(f):
+    assert_same_verdict(validate_linf_morphism(f),
+                        dense_validate_linf_morphism(f))
+
+
+def cli_structure(name, weight):
+    """The structure a command reads off a fixture at a weight bound."""
+    path = os.path.join(os.path.dirname(__file__), "fixtures", name + ".json")
+    return linf_structure(_algebra(load_problem(path), weight), weight)
+
+
+ORACLE_MODELS = {
+    **{name: (lambda name=name, n=n: cli_structure(name, n))
+       for name, n in [("sl2", 4), ("sl2_bad", 4), ("heis3", 4),
+                       ("endu", 4), ("quadcone", 4), ("linf_min", 4),
+                       ("voronov5", 5)]},
+    **{name: make for name, make in VORONOV.items()},
+    "end_u1": lambda: linf_structure(
+        parse_problem(end_u(1))["algebra"], 3),
+    **{f"gauged_{name}": (lambda args=args: gauged(*args)[0])
+       for name, args in [("endu", ("endu", 5, 2)),
+                          ("quadcone", ("quadcone", 4, 3)),
+                          ("linf_min", ("linf_min", 4, 2))]},
+}
+
+
+@pytest.mark.parametrize("make", ORACLE_MODELS.values(), ids=ORACLE_MODELS)
+def test_corestriction_checks_equal_the_dense_references(make):
+    # every check on the structure and, when it is valid, on its minimal
+    # model, both transfer morphisms, their composites and a gauge
+    alg = make()
+    assert_same_verdict(validate_linf(alg), dense_validate_linf(alg))
+    if not validate_linf(alg)["ok"]:
+        return
+    mm = minimal_model(alg, alg.bound)
+    w, g, f = mm["minimal"], mm["into"], mm["onto"]
+    assert_same_verdict(validate_linf(w), dense_validate_linf(w))
+    for mor in (g, f, compose_morphisms(g, f), compose_morphisms(f, g)):
+        assert_morphism_matches_dense(mor)
+    for outer, inner in ((g, f), (f, g)):
+        assert compose_morphisms(outer, inner).components == \
+            dense_compose_morphisms(outer, inner).components
+    rng = random.Random(len(alg.space.labels))
+    for arity in range(2, min(alg.bound, 3) + 1):
+        for target in (alg, w):
+            alpha = random_power_map(target.space, arity, 0, rng)
+            new, phi = exp_coderivation(target, alpha)
+            dense_new, dense_phi = dense_exp_coderivation(target, alpha)
+            assert taylor_of(new) == taylor_of(dense_new)
+            assert phi.components == dense_phi.components
+            assert_morphism_matches_dense(phi)
+
+
+def first_failures(check, dense_check, variants, n):
+    """Run both checks on each variant until one fails first at weight n,
+    asserting that they agree on every variant tried."""
+    for bad in variants:
+        rep = check(bad)
+        assert_same_verdict(rep, dense_check(bad))
+        if first_weight(rep) == n:
+            return True
+    return False
+
+
+def mutations(matrix, degree, pb, space, rng):
+    """Copies of a matrix on ``pb`` with one entry of the given map degree
+    changed, in a random order of entries."""
+    entries = [(r, c) for c in range(len(pb)) for r in range(space.dim)
+               if space.degrees[r] == pb.degree(c) + degree]
+    rng.shuffle(entries)
+    for r, c in entries:
+        m = [row[:] for row in matrix]
+        m[r][c] += rng.choice([-2, -1, 1, 2])
+        yield m
+
+
+def test_mutations_are_rejected_at_their_arity():
+    # endu's décalage has q₁ ≠ 0 over three degrees, so a change of one
+    # entry of q_n, or of f¹_n of the identity or of a transfer morphism,
+    # can show first at weight n for every n ≤ N: some does, and the
+    # dense references reject each change tried at the same weight
+    alg = cli_structure("endu", 4)
+    mm = minimal_model(alg, alg.bound)
+    rng = random.Random(23)
+
+    def with_q(n, m):
+        bad = LInfinityAlgebra(alg.space, alg.taylor, alg.bound)
+        bad.set_q(n, m)
+        return bad
+
+    def with_f1(mor, n, m):
+        bad = LInfinityMorphism(mor.source, mor.target, mor.components)
+        bad.set_component(n, m)
+        return bad
+
+    for n in range(1, alg.bound + 1):
+        assert first_failures(
+            validate_linf, dense_validate_linf,
+            (with_q(n, m) for m in mutations(
+                alg.q(n).matrix, 1, alg.ctx.pb[n], alg.space, rng)), n), n
+        for mor in (identity_morphism(alg), mm["into"], mm["onto"]):
+            assert first_failures(
+                validate_linf_morphism, dense_validate_linf_morphism,
+                (with_f1(mor, n, m) for m in mutations(
+                    mor.f1(n), 0, mor.source.ctx.pb[n], mor.target.space,
+                    rng)), n), (n, mor.source.space.dim)
+
+
+def test_set_q_drops_stale_lifts_and_complexes():
+    # q_n ↦ λ^{n−1} q_n is conjugation by λ·id, so the structure stays
+    # valid; after set_q on every arity, each lift and coderivation complex
+    # equals that of a freshly built algebra
+    alg = gauged("endu", 4, 2)[0]
+    keys = [(k, n) for k in range(1, alg.bound + 1)
+            for n in range(k, alg.bound + 1)]
+    for lam in (F(2), F(0)):
+        for key in keys:
+            alg.lift(*key)
+        for l in (2, 3, 4):
+            ce_linf_self(alg, l)
+        for n, q in list(alg.taylor.items()):
+            alg.set_q(n, q.scale(lam ** (n - 1)).matrix)
+        fresh = LInfinityAlgebra(alg.space, alg.taylor, alg.bound)
+        for key in keys:
+            assert alg.lift(*key) == fresh.lift(*key), (lam, key)
+        for l in (2, 3, 4):
+            assert ce_linf_self(alg, l).total.differential.matrix == \
+                LinfCeComplex(identity_morphism(fresh), l) \
+                .total.differential.matrix, (lam, l)
+    assert not alg.taylor
 
 
 # -- coderivation complex and the comparison with alternating forms ------
