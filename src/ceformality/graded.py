@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations_with_replacement, compress
 
@@ -211,7 +212,8 @@ class PowerBasis:
     symmetric kind drops tuples repeating an odd-degree index, the exterior
     kind drops tuples repeating an even-degree index (square-zero in both
     cases).  ``normalize`` resolves an arbitrary tuple to (sign, canonical
-    tuple), with sign 0 on square-zero collisions.
+    tuple), with sign 0 on square-zero collisions; ``product`` multiplies a
+    canonical tuple by one more index without sorting.
     """
 
     def __init__(self, space, kind, arity):
@@ -222,6 +224,11 @@ class PowerBasis:
         self.space = space
         self.kind = kind
         self.arity = arity
+        # which indices square to zero: odd ones in the symmetric kind, even
+        # ones in the exterior kind
+        self._square_zero = [bool(d & 1) == (kind == SYMMETRIC)
+                             for d in space.degrees]
+        self._odd = [d & 1 for d in space.degrees]
         elems = []
         for tup in combinations_with_replacement(range(space.dim), arity):
             if self._forbidden(tup):
@@ -231,9 +238,8 @@ class PowerBasis:
         self._index = {t: i for i, t in enumerate(elems)}
 
     def _forbidden(self, tup):
-        parity = 1 if self.kind == SYMMETRIC else 0
         for a, b in zip(tup, tup[1:]):
-            if a == b and self.space.degrees[a] % 2 == parity:
+            if a == b and self._square_zero[a]:
                 return True
         return False
 
@@ -254,6 +260,21 @@ class PowerBasis:
         if self._forbidden(sorted_tup):
             return 0, None
         return sign, sorted_tup
+
+    def product(self, a, tail):
+        """(sign, position) of a ⊙ tail in this basis, for a canonical
+        ``tail`` one entry shorter: ``normalize((a,) + tail)`` without the
+        sort.  a goes to its bisection point, crossing the entries below it,
+        so the sign is (−1)^{ā·#odd entries crossed}, times (−1)^{#crossed}
+        in the exterior kind.  Sign 0 and position None on a square-zero
+        collision."""
+        i = bisect_left(tail, a)
+        if i < len(tail) and tail[i] == a and self._square_zero[a]:
+            return 0, None
+        crossed = i if self.kind == EXTERIOR else 0
+        if self._odd[a]:
+            crossed += sum(map(self._odd.__getitem__, tail[:i]))
+        return parity_sign(crossed), self._index[tail[:i] + (a,) + tail[i:]]
 
     def label(self, pos):
         sep = "." if self.kind == SYMMETRIC else "^"
@@ -286,9 +307,6 @@ class PowerMap:
     @classmethod
     def zero(cls, pb, target, degree):
         return cls(pb, target, degree, zeros(target.dim, len(pb)))
-
-    def column(self, c):
-        return [self.matrix[r][c] for r in range(self.target.dim)]
 
     def eval_tuple(self, tup):
         """Value on an arbitrary index tuple, as a vector in the target."""

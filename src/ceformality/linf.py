@@ -14,7 +14,7 @@ from .cecomplex import (
 from .dgla import DgLieAlgebra
 from .graded import (
     EXTERIOR, SYMMETRIC, GradedMap, GradedVectorSpace, PowerBasis, PowerMap,
-    koszul_sign, parity_sign, shuffle_sign,
+    parity_sign, shuffle_sign,
 )
 from .linalg import (
     Q1, identity, is_zero_mat, is_zero_vec, mat_add, mat_mul, mat_sub,
@@ -53,13 +53,15 @@ class SymContext:
         start = self._starts[n]
         return slice(start, start + len(self.pb[n]))
 
-    def tuple_degrees(self, n, t):
-        return [self.space.degrees[i] for i in t]
-
 
 def coder_lift_block(q, ctx, n):
     """Matrix of the coderivation lift of an arity-k map on the weight-n
-    component, landing in weight n−k+1 (zero when n < k)."""
+    component, landing in weight n−k+1 (zero when n < k).
+
+    Column t sums ε · q(t_sel) ⊙ t_rest over the k-subsets sel of t's
+    positions, ε the shuffle sign.  A canonical t has canonical t_sel and
+    t_rest, so t_sel is looked up in q's basis and the product with t_rest
+    goes through ``PowerBasis.product``: nothing is sorted again."""
     k = q.arity
     out_w = n - k + 1
     pb_in = ctx.pb[n]
@@ -67,22 +69,23 @@ def coder_lift_block(q, ctx, n):
         return zeros(0, len(pb_in))
     pb_out = ctx.pb[out_w]
     m = zeros(len(pb_out), len(pb_in))
+    product, q_index = pb_out.product, q.pb.index
+    # q's nonzero (row, entry) pairs on each basis tuple
+    q_cols = [[(a, row[c]) for a, row in enumerate(q.matrix) if row[c]]
+              for c in range(len(q.pb))]
+    degrees = ctx.space.degrees
     for c, t in enumerate(pb_in.elements):
-        degs = ctx.tuple_degrees(n, t)
+        degs = [degrees[i] for i in t]
         for sel in combinations(range(n), k):
-            rest = tuple(i for i in range(n) if i not in sel)
-            perm = list(sel) + list(rest)
-            eps = koszul_sign(degs, perm, antisymmetric=False)
-            sub = tuple(t[i] for i in sel)
-            val = q.eval_tuple(sub) if k else q.column(0)
-            tail = tuple(t[i] for i in rest)
-            for a, coeff in enumerate(val):
-                if not coeff:
-                    continue
-                sign, canon = pb_out.normalize((a,) + tail)
-                if sign == 0:
-                    continue
-                m[pb_out.index(canon)][c] += eps * sign * coeff
+            head = q_cols[q_index(tuple(t[i] for i in sel))]
+            if not head:
+                continue
+            eps = shuffle_sign(degs, sel)
+            tail = tuple(t[i] for i in range(n) if i not in sel)
+            for a, coeff in head:
+                sign, r = product(a, tail)
+                if sign:
+                    m[r][c] += eps * sign * coeff
     return m
 
 
@@ -321,26 +324,23 @@ class LInfinityMorphism:
             pb = sctx.pb[k]
             for sel in combinations(range(1, n), k - 1):
                 block = (0,) + sel
-                sign, canon = pb.normalize(tuple(tup[i] for i in block))
-                if not sign:
-                    continue
-                c = pb.index(canon)
+                # a sub-tuple of a canonical tuple is canonical
+                c = pb.index(tuple(tup[i] for i in block))
                 head = [(a, row[c]) for a, row in enumerate(comp) if row[c]]
                 if not head:
                     continue
                 rest = tuple(i for i in range(1, n) if i not in sel)
-                eps = sign * shuffle_sign(degs, block)
+                eps = shuffle_sign(degs, block)
                 tail_val = self.component_value(tuple(tup[i] for i in rest))
                 for pos in compress(range(stop), tail_val):
                     j, t_pos = tctx.flat[pos]
                     x = eps * tail_val[pos]
                     tail = tctx.pb[j].elements[t_pos]
-                    pb_out = tctx.pb[j + 1]
+                    product = tctx.pb[j + 1].product
                     for a, y in head:
-                        s_out, t_out = pb_out.normalize((a,) + tail)
+                        s_out, r = product(a, tail)
                         if s_out:
-                            out[tctx.index(j + 1, pb_out.index(t_out))] += \
-                                s_out * x * y
+                            out[tctx.index(j + 1, r)] += s_out * x * y
         return out
 
     def block(self, k, n):
@@ -425,6 +425,14 @@ def exp_coderivation(alg, alpha):
     return new_alg, LInfinityMorphism(new_alg, alg, comps)
 
 
+def _product_column(q, a, tail):
+    """q(a ⊙ tail) for a canonical ``tail``, as nonzero (row, entry) pairs."""
+    sign, c = q.pb.product(a, tail)
+    if not sign:
+        return []
+    return [(r, sign * row[c]) for r, row in enumerate(q.matrix) if row[c]]
+
+
 class LinfCeComplex(ColumnComplex):
     """Column-truncated complex of relative coderivations along a morphism
     f: (V, Q) → (W, R), graded by map degree and filtered by the least
@@ -448,9 +456,7 @@ class LinfCeComplex(ColumnComplex):
         tgt = self.f.target
         # r_k(w ⊙ y) for every target basis vector w and weight-(k−1)
         # tuple y, as nonzero (row, entry) pairs
-        r_on = {k: [[[(r, x) for r, x in enumerate(rk.eval_tuple((w,) + y))
-                      if x]
-                     for w in range(tgt.space.dim)]
+        r_on = {k: [[_product_column(rk, w, y) for w in range(tgt.space.dim)]
                     for y in tgt.ctx.pb[k - 1].elements]
                 for k, rk in tgt.taylor.items()}
         blocks = {}
@@ -465,7 +471,7 @@ class LinfCeComplex(ColumnComplex):
 
     def _add_r_part(self, m, p, j, r_on):
         """Σ_k r_k(α(u_sel) ⊙ f(u_rest)), walking each weight-j tuple u and
-        p-subset sel of its positions once: u_sel normalizes to the basis
+        p-subset sel of its positions once: u_sel is the canonical basis
         tuple of the maps α it feeds, and f is evaluated once on u_rest."""
         f = self.f
         src, tctx = f.source, f.target.ctx
@@ -475,12 +481,9 @@ class LinfCeComplex(ColumnComplex):
             degs = [src.space.degrees[i] for i in u]
             rows = out.flat[u_pos]
             for sel in combinations(range(j), p):
-                sign, t = pb.normalize(tuple(u[i] for i in sel))
-                if not sign:
-                    continue
-                cols = col.flat[pb.index(t)]
+                cols = col.flat[pb.index(tuple(u[i] for i in sel))]
                 rest = tuple(i for i in range(j) if i not in sel)
-                eps = sign * shuffle_sign(degs, sel)
+                eps = shuffle_sign(degs, sel)
                 fval = f.component_value(tuple(u[i] for i in rest))
                 for k, r_k in r_on.items():
                     for r_wy, coeff in zip(r_k,

@@ -128,6 +128,32 @@ def test_power_map_eval_with_normalization():
     assert m.eval_tuple((1, 0)) == m.eval_tuple((0, 1))
 
 
+PRODUCT_SPACES = {
+    # even and odd repeats in one space, negative degrees included
+    "mixed": {0: ["a", "b"], 1: ["x", "y"], -1: ["m"], 2: ["z"]},
+    "even": {0: ["a", "b"], 2: ["c"]},
+    "odd": {1: ["x", "y"], -1: ["m"]},
+}
+
+
+@pytest.mark.parametrize("kind", [SYMMETRIC, EXTERIOR])
+def test_product_equals_normalize(kind):
+    # every a times every canonical tail of weight ≤ 4, against the sort
+    signs = set()
+    for components in PRODUCT_SPACES.values():
+        v = GradedVectorSpace(components)
+        for w in range(5):
+            tails, pb = PowerBasis(v, kind, w), PowerBasis(v, kind, w + 1)
+            for tail in tails.elements:
+                for a in range(v.dim):
+                    sign, canon = pb.normalize((a,) + tail)
+                    want = (sign, pb.index(canon)) if sign else (0, None)
+                    assert pb.product(a, tail) == want, (components, a, tail)
+                    signs.add(sign)
+    # square-zero collisions and both signs all occur
+    assert signs == {-1, 0, 1}
+
+
 @given(st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=5))
 def test_sort_sign_is_plus_minus_one(degs):
     items = list(range(len(degs)))[::-1]

@@ -1,6 +1,7 @@
 import os
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -354,6 +355,39 @@ def test_minimal_model_morphism_values_match_fresh(make):
 # -- dense references on ⊕_{n≤N} V^⊙n -------------------------------------
 
 
+def reference_lift_block(q, ctx, n):
+    """``coder_lift_block`` by sorting: each ε is ``koszul_sign`` of
+    sel + rest, each q(t_sel) an ``eval_tuple`` and each product with
+    t_rest a ``normalize``."""
+    k = q.arity
+    out_w = n - k + 1
+    pb_in = ctx.pb[n]
+    if out_w < 0 or out_w > ctx.bound:
+        return zeros(0, len(pb_in))
+    pb_out = ctx.pb[out_w]
+    m = zeros(len(pb_out), len(pb_in))
+    for c, t in enumerate(pb_in.elements):
+        degs = [ctx.space.degrees[i] for i in t]
+        for sel in combinations(range(n), k):
+            rest = tuple(i for i in range(n) if i not in sel)
+            eps = koszul_sign(degs, list(sel) + list(rest))
+            val = q.eval_tuple(tuple(t[i] for i in sel))
+            tail = tuple(t[i] for i in rest)
+            for a, coeff in enumerate(val):
+                if not coeff:
+                    continue
+                sign, canon = pb_out.normalize((a,) + tail)
+                if sign:
+                    m[pb_out.index(canon)][c] += eps * sign * coeff
+    return m
+
+
+def assert_lifts_match_reference(q, ctx):
+    for n in range(ctx.bound + 1):
+        assert coder_lift_block(q, ctx, n) == \
+            reference_lift_block(q, ctx, n), (q.arity, n)
+
+
 def add_block(big, ctx, out_w, in_w, block):
     """Add a weight in_w → out_w block into a matrix on ctx's flat basis."""
     start = ctx.weight_slice(in_w).start
@@ -370,7 +404,8 @@ def qhat(alg):
     for n in range(1, ctx.bound + 1):
         for k, qk in alg.taylor.items():
             if k <= n:
-                add_block(m, ctx, n - k + 1, n, coder_lift_block(qk, ctx, n))
+                add_block(m, ctx, n - k + 1, n,
+                          reference_lift_block(qk, ctx, n))
     return m
 
 
@@ -455,7 +490,7 @@ def dense_exp_coderivation(alg, alpha):
     lift = zeros(ctx.dim, ctx.dim)
     for n in range(alpha.arity - 1, ctx.bound + 1):
         add_block(lift, ctx, n - alpha.arity + 1, n,
-                  coder_lift_block(alpha, ctx, n))
+                  reference_lift_block(alpha, ctx, n))
     expm = exp_nilpotent(lift)
     expm_inv = exp_nilpotent([[-x for x in row] for row in lift])
     conj = mat_mul(expm_inv, mat_mul(qhat(alg), expm))
@@ -540,6 +575,23 @@ def test_corestriction_checks_equal_the_dense_references(make):
             assert taylor_of(new) == taylor_of(dense_new)
             assert phi.components == dense_phi.components
             assert_morphism_matches_dense(phi)
+
+
+@pytest.mark.parametrize("make", ORACLE_MODELS.values(), ids=ORACLE_MODELS)
+def test_lifts_equal_the_sorting_reference(make):
+    # every q_k of the structure and of its minimal model, and the lifts of
+    # the gauge generators exp_coderivation conjugates by, on every weight
+    alg = make()
+    models = [alg]
+    if validate_linf(alg)["ok"]:
+        models.append(minimal_model(alg, alg.bound)["minimal"])
+    rng = random.Random(len(alg.space.labels))
+    for model in models:
+        for k in range(1, model.bound + 1):
+            assert_lifts_match_reference(model.q(k), model.ctx)
+        for arity in range(2, min(model.bound, 3) + 1):
+            alpha = random_power_map(model.space, arity, 0, rng)
+            assert_lifts_match_reference(alpha, model.ctx)
 
 
 def first_failures(check, dense_check, variants, n):
