@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from .dgla import CochainComplex, cohomology
 from .graded import (
-    EXTERIOR, GradedMap, GradedVectorSpace, PowerBasis, koszul_sign,
-    parity_sign,
+    EXTERIOR, GradedVectorSpace, PowerBasis, koszul_sign, parity_sign,
 )
 from .linalg import is_zero_mat, mat_add, mat_mul, zero_vec, zeros
 from .specseq import FilteredTotalComplex, barcode
@@ -72,8 +71,9 @@ class ColumnComplex:
     degree, p, position in the column)."""
 
     def _assemble(self, blocks, shift, check):
-        """The filtered total complex whose differential has the block
-        ``blocks[(p, p2)]`` from column p to column p2."""
+        """The filtered total complex whose differential has the sparse
+        block ``blocks[(p, p2)]`` = {(row, col): entry} from column p to
+        column p2, written straight into the total complex's columns."""
         order = sorted((q + shift * p, p, i)
                        for p, col in enumerate(self.columns)
                        for i, q in enumerate(col.space.degrees))
@@ -84,16 +84,22 @@ class ColumnComplex:
                 f"p{p}|{self.columns[p].space.labels[i]}")
             self._glob[p][i] = g
         space = GradedVectorSpace(comps)
-        dmat = zeros(space.dim, space.dim)
+        columns = [{} for _ in order]
         for (p, p2), block in blocks.items():
             rows, cols = self._glob[p2], self._glob[p]
-            for r, brow in enumerate(block):
-                drow = dmat[rows[r]]
-                for c, x in enumerate(brow):
-                    if x:
-                        drow[cols[c]] += x
-        diff = GradedMap(space, space, 1, dmat, check=check)
-        return FilteredTotalComplex(space, diff, [p for _n, p, _i in order],
+            for (r, c), x in block.items():
+                if x:
+                    columns[cols[c]][rows[r]] = x
+        if check:
+            degrees = space.degrees
+            bad = min(((r, x) for x, col in enumerate(columns) for r in col
+                       if degrees[r] != degrees[x] + 1), default=None)
+            if bad is not None:
+                entry = tuple(space.labels[i] for i in bad)
+                raise ValueError(
+                    f"entry {entry} violates degree 1 homogeneity")
+        return FilteredTotalComplex(space, columns,
+                                    [p for _n, p, _i in order],
                                     len(self.columns), check=check)
 
     def global_index(self, p, local):
@@ -104,9 +110,7 @@ class ColumnComplex:
     def block(self, p, j):
         """Block of the total differential from column p to column j, on
         the two columns' own bases."""
-        d = self.total.differential.matrix
-        cols = self._glob[p]
-        return [[d[r][c] for c in cols] for r in self._glob[j]]
+        return self.total.block(self._glob[j], self._glob[p])
 
 
 def ce_delta_bar_on(col):
@@ -205,8 +209,10 @@ class CeBicomplex(ColumnComplex):
         self._assert_bicomplex()
         # homogeneity, filtration compatibility and d**2 = 0 all follow
         # from the column-level identities asserted above
-        blocks = {(p, p): db for p, db in enumerate(self.delta_bar)}
-        blocks.update(((p, p + 1), dd) for p, dd in enumerate(self.delta))
+        blocks = {(p, p): _entries(db)
+                  for p, db in enumerate(self.delta_bar)}
+        blocks.update(((p, p + 1), _entries(dd))
+                      for p, dd in enumerate(self.delta))
         self.total = self._assemble(blocks, shift=1, check=False)
 
     def _assert_bicomplex(self):
@@ -221,6 +227,12 @@ class CeBicomplex(ColumnComplex):
                            mat_mul(self.delta[p], self.delta_bar[p]))
             if not is_zero_mat(anti):
                 raise ValueError(f"differentials do not anticommute at p={p}")
+
+
+def _entries(m):
+    """The nonzero entries of a dense matrix as {(row, col): entry}."""
+    return {(r, c): x for r, row in enumerate(m) for c, x in enumerate(row)
+            if x}
 
 
 def build_ce(alg, mod, l):

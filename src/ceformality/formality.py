@@ -12,7 +12,7 @@ from .dgla import (
 )
 from .graded import GradedMap, PowerMap
 from .linalg import (
-    Q1, mat_add, mat_mul, mat_sub, mat_vec, rank, solve, solve_right,
+    Q1, mat_add, mat_mul, mat_sub, rank, solve, solve_right,
     vec_sub, zero_vec, zeros,
 )
 from .linf import (
@@ -80,13 +80,12 @@ def euler_class(obj, l):
 def _correct_representative(ftc, rep, p, r):
     """Subtract w ∈ F^{p+1} so that d(rep − w) ∈ F^{p+r+1}; returns the
     corrected representative (same page-(r+1) class leading term)."""
-    dmat = ftc.differential.matrix
-    drep = mat_vec(dmat, rep)
+    drep = ftc.apply(rep)
     cols = [j for j in range(ftc.space.dim) if ftc.levels[j] >= p + 1]
     rows = [i for i in range(ftc.space.dim) if ftc.levels[i] < p + r + 1]
     if not rows:
         return rep
-    a = [[dmat[i][j] for j in cols] for i in rows]
+    a = ftc.block(rows, cols)
     b = [drep[i] for i in rows]
     sol = solve(a, b)
     if sol is None:
@@ -118,7 +117,7 @@ def obstruction_sequence(alg, l, r_max):
     first_nonzero = None
     for r in range(2, r_max + 1):
         target = (1 + r, -r)
-        dvec = mat_vec(ftc.differential.matrix, rep)
+        dvec = ftc.apply(rep)
         coords = cell_coordinates(ftc, r, *target, dvec)
         vanishes = all(c == 0 for c in coords)
         entries.append({"r": r, "cell": target, "coordinates": coords,

@@ -451,8 +451,9 @@ class LinfCeComplex(ColumnComplex):
         self.total = self._assemble(self._blocks(), shift=0, check=True)
 
     def _blocks(self):
-        """dα = Rα̂ − (−1)^{ᾱ} α Q̂ corestricted, as one block per column
-        pair p ≤ j covering every basis map α of column p at once."""
+        """dα = Rα̂ − (−1)^{ᾱ} α Q̂ corestricted, as one sparse block
+        {(row, col): entry} per column pair p ≤ j covering every basis map
+        α of column p at once."""
         tgt = self.f.target
         # r_k(w ⊙ y) for every target basis vector w and weight-(k−1)
         # tuple y, as nonzero (row, entry) pairs
@@ -462,8 +463,7 @@ class LinfCeComplex(ColumnComplex):
         blocks = {}
         for p in range(self.l):
             for j in range(p, self.l):
-                m = zeros(self.columns[j].space.dim,
-                          self.columns[p].space.dim)
+                m = {}
                 self._add_r_part(m, p, j, r_on)
                 self._add_q_part(m, p, j)
                 blocks[(p, j)] = m
@@ -493,7 +493,8 @@ class LinfCeComplex(ColumnComplex):
                         x = eps * coeff
                         for pos, pairs in zip(cols, r_wy):
                             for r, v in pairs:
-                                m[rows[r]][pos] += v * x
+                                key = (rows[r], pos)
+                                m[key] = m.get(key, 0) + v * x
 
     def _add_q_part(self, m, p, j):
         """−(−1)^{ᾱ} α ∘ Q̂ from weight j to weight p, through the
@@ -510,8 +511,9 @@ class LinfCeComplex(ColumnComplex):
                     continue
                 rows = out.flat[u_pos]
                 for w, pos in enumerate(col.flat[t_pos]):
-                    m[rows[w]][pos] += \
-                        x if (tgt.space.degrees[w] - tdeg) & 1 else -x
+                    key = (rows[w], pos)
+                    m[key] = m.get(key, 0) + \
+                        (x if (tgt.space.degrees[w] - tdeg) & 1 else -x)
 
 
 def ce_linf_self(alg, l):

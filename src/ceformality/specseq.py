@@ -6,7 +6,6 @@ abutment comparison, and quotient-filtration comparison."""
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress
 from math import inf
 
 from .graded import GradedMap, GradedVectorSpace
@@ -21,35 +20,75 @@ class FilteredTotalComplex:
 
     Every flat basis vector carries a level 0 ≤ level < length; F^p is the
     span of basis vectors of level ≥ p, and the differential never lowers
-    the level.  The cell cache is filled by ``page_cell``, the barcode by
-    ``barcode``.
+    the level.  The differential is kept as sparse columns: ``columns[x]``
+    is d(e_x) as {row: entry} over its nonzero rows.  It is given either as
+    those columns or as a dense degree-1 ``GradedMap``; the dense
+    ``differential`` is built from the columns on first read.  The cell
+    cache is filled by ``page_cell``, the barcode by ``barcode``.
     """
 
     def __init__(self, space, differential, levels, length, check=True):
         self.space = space
-        self.differential = differential
+        if isinstance(differential, GradedMap):
+            d = differential.matrix
+            self._differential = differential
+            self.columns = [{r: row[x] for r, row in enumerate(d) if row[x]}
+                            for x in range(space.dim)]
+        else:
+            self._differential = None
+            self.columns = differential
         self.levels = list(levels)
         self.length = length
         self._cell_cache = {}
         self._barcode = None
         if check:
-            # filtration, then d² = 0, from the nonzero entries of each row
-            d = differential.matrix
-            levels = self.levels
-            support = [list(compress(range(space.dim), row)) for row in d]
-            for r, cols in enumerate(support):
-                if any(levels[r] < levels[c] for c in cols):
-                    raise ValueError(
-                        "differential does not respect the filtration")
-            for row, cols in zip(d, support):
+            # filtration, then d² = 0, from the nonzero entries of each
+            # column
+            levels, columns = self.levels, self.columns
+            if any(levels[r] < levels[x]
+                   for x, col in enumerate(columns) for r in col):
+                raise ValueError(
+                    "differential does not respect the filtration")
+            for col in columns:
                 acc = {}
-                for k in cols:
-                    x, drow = row[k], d[k]
-                    for c in support[k]:
-                        acc[c] = acc.get(c, 0) + x * drow[c]
+                for k, a in col.items():
+                    for r, y in columns[k].items():
+                        acc[r] = acc.get(r, 0) + a * y
                 if any(acc.values()):
                     raise ValueError(
                         "total differential does not square to zero")
+
+    @property
+    def differential(self):
+        """d as a dense ``GradedMap``, built once from the columns."""
+        if self._differential is None:
+            m = zeros(self.space.dim, self.space.dim)
+            for x, col in enumerate(self.columns):
+                for r, a in col.items():
+                    m[r][x] = a
+            self._differential = GradedMap(self.space, self.space, 1, m,
+                                           check=False)
+        return self._differential
+
+    def apply(self, v):
+        """d v for a dense vector v, through the columns of its support."""
+        out = zero_vec(self.space.dim)
+        for x, a in enumerate(v):
+            if a:
+                for r, y in self.columns[x].items():
+                    out[r] += a * y
+        return out
+
+    def block(self, rows, cols):
+        """The dense block of d on the flat indices ``rows`` × ``cols``."""
+        at = {r: i for i, r in enumerate(rows)}
+        m = zeros(len(rows), len(cols))
+        for j, x in enumerate(cols):
+            for r, a in self.columns[x].items():
+                i = at.get(r)
+                if i is not None:
+                    m[i][j] = a
+        return m
 
     def filtration_subspace(self, p):
         vecs = []
@@ -69,16 +108,15 @@ class FilteredTotalComplex:
                 self.space.labels[i])
         qspace = GradedVectorSpace(comps)
         index_map = {i: qspace.index(self.space.labels[i]) for i in keep}
-        d = self.differential.matrix
-        qd = zeros(qspace.dim, qspace.dim)
-        for c in keep:
-            for r in keep:
-                qd[index_map[r]][index_map[c]] = d[r][c]
+        qcolumns = [{} for _ in range(qspace.dim)]
         qlevels = [0] * qspace.dim
         for i in keep:
+            qcolumns[index_map[i]] = {index_map[r]: a
+                                      for r, a in self.columns[i].items()
+                                      if r in index_map}
             qlevels[index_map[i]] = self.levels[i]
-        qdiff = GradedMap(qspace, qspace, 1, qd)
-        return (FilteredTotalComplex(qspace, qdiff, qlevels, lev, check=False),
+        return (FilteredTotalComplex(qspace, qcolumns, qlevels, lev,
+                                     check=False),
                 index_map)
 
 
@@ -139,13 +177,12 @@ class Barcode:
         levels = ftc.levels
         order = sorted(range(ftc.space.dim), key=lambda i: (-levels[i], i))
         pos = {i: k for k, i in enumerate(order)}
-        columns = _sparse_columns(ftc)
         owner = {}  # pivot row → the column whose R owns it
         self.reduced, self.combination = {}, {}  # x → R_x, V_x
         self._reach = [inf] * ftc.space.dim  # x → level(pivot of R_x)
         self.pairs = []
         for x in order:
-            col, comb = columns[x], {x: Q1}
+            col, comb = dict(ftc.columns[x]), {x: Q1}
             while col:
                 low = max(col, key=pos.__getitem__)
                 y = owner.get(low)
@@ -168,10 +205,9 @@ class Barcode:
         from the reduction (``sparse_rank``, in index order)."""
         if any(gap < 0 for _, _, gap in self.pairs):
             raise AssertionError("barcode pair lowers the filtration level")
-        space = self.ftc.space
-        columns = _sparse_columns(self.ftc)
-        rank_out = {n: sparse_rank(map(columns.get,
-                                       space.indices_in_degree(n)))
+        space, columns = self.ftc.space, self.ftc.columns
+        rank_out = {n: sparse_rank(columns[x]
+                                   for x in space.indices_in_degree(n))
                     for n in space.degree_support()}
         for n, rk in rank_out.items():
             h = space.dim_in_degree(n) - rk - rank_out.get(n - 1, 0)
@@ -224,15 +260,6 @@ class Barcode:
                 row[i] = x
             rows.append(row)
         return Subspace(dim, rows)
-
-
-def _sparse_columns(ftc):
-    """Column x of d as {row: entry} over its nonzero rows, all of degree
-    deg(x) + 1."""
-    d, space = ftc.differential.matrix, ftc.space
-    rows = {n: space.indices_in_degree(n + 1) for n in space.degree_support()}
-    return {x: {i: d[i][x] for i in rows[n] if d[i][x]}
-            for x, n in enumerate(space.degrees)}
 
 
 def _axpy(u, a, v):
@@ -300,7 +327,7 @@ def abutment_check(ftc):
         for i in below:
             e = zero_vec(dim)
             e[i] = Q1
-            bvecs.append(ftc.differential.apply(e))
+            bvecs.append(ftc.apply(e))
         b = Subspace(dim, bvecs)
 
         def filt_h_dim(p):

@@ -1,17 +1,25 @@
 from fractions import Fraction
+from itertools import compress
+from types import SimpleNamespace
 
 import pytest
 
 from ceformality.cecomplex import (
-    CeBicomplex, HomColumn, build_ce, ce_delta_bar_on, ce_delta_on,
-    ce_first_page_check, form_column, pushforward_matrix,
+    CeBicomplex, ColumnComplex, HomColumn, build_ce, ce_delta_bar_on,
+    ce_delta_on, ce_first_page_check, form_column, pushforward_matrix,
 )
+from ceformality.cli import _algebra
 from ceformality.dgla import DgLieAlgebra, adjoint_module, module_via_morphism
-from ceformality.graded import GradedMap
-from ceformality.linalg import Q1, is_zero_mat, mat_mul, mat_vec, zero_vec
-from ceformality.linf import (
-    LInfinityMorphism, LinfCeComplex, ce_linf_self, decalage,
+from ceformality.graded import GradedMap, GradedVectorSpace
+from ceformality.linalg import (
+    Q1, is_zero_mat, mat_mul, mat_vec, zero_vec, zeros,
 )
+from ceformality.linf import (
+    LInfinityMorphism, LinfCeComplex, ce_linf_self, decalage, linf_structure,
+)
+from ceformality.problems import parse_problem
+from ceformality.specseq import Barcode, FilteredTotalComplex
+from test_cli import end_u, voronov
 
 F = Fraction
 
@@ -216,3 +224,187 @@ def test_pushforward_is_a_filtered_chain_map():
         push = pushforward_matrix(g, src, dst)
         assert mat_mul(push, src.total.differential.matrix) == \
             mat_mul(dst.total.differential.matrix, push)
+
+
+# -- the dense assembly, kept as the reference for the sparse columns ------
+
+
+def dense_checks(d, levels):
+    """The dense filtration, then d² = 0, scans over the support of each
+    row of a dense total differential."""
+    support = [list(compress(range(len(d)), row)) for row in d]
+    for r, cols in enumerate(support):
+        if any(levels[r] < levels[c] for c in cols):
+            raise ValueError("differential does not respect the filtration")
+    for row, cols in zip(d, support):
+        acc = {}
+        for k in cols:
+            x, drow = row[k], d[k]
+            for c in support[k]:
+                acc[c] = acc.get(c, 0) + x * drow[c]
+        if any(acc.values()):
+            raise ValueError("total differential does not square to zero")
+
+
+def dense_assemble(ce, blocks, shift, check):
+    """The total complex of ``ce`` from dense blocks ``blocks[(p, p2)]``,
+    filled into one dense matrix and checked by ``GradedMap``'s
+    homogeneity scan and ``dense_checks``.  Returns (space, d, levels)."""
+    order = sorted((q + shift * p, p, i)
+                   for p, col in enumerate(ce.columns)
+                   for i, q in enumerate(col.space.degrees))
+    comps = {}
+    glob = [[0] * col.space.dim for col in ce.columns]
+    for g, (n, p, i) in enumerate(order):
+        comps.setdefault(n, []).append(
+            f"p{p}|{ce.columns[p].space.labels[i]}")
+        glob[p][i] = g
+    space = GradedVectorSpace(comps)
+    dmat = zeros(space.dim, space.dim)
+    for (p, p2), block in blocks.items():
+        rows, cols = glob[p2], glob[p]
+        for r, brow in enumerate(block):
+            drow = dmat[rows[r]]
+            for c, x in enumerate(brow):
+                if x:
+                    drow[cols[c]] += x
+    diff = GradedMap(space, space, 1, dmat, check=check)
+    levels = [p for _n, p, _i in order]
+    if check:
+        dense_checks(dmat, levels)
+    return space, diff, levels
+
+
+def dense_block(block, rows, cols):
+    m = zeros(rows, cols)
+    for (r, c), x in block.items():
+        m[r][c] += x
+    return m
+
+
+def oracle_complex(name, l, kind):
+    """(column complex, its dense reference (space, d, levels)) for End(U_1)
+    or voronov<n>, as the coderivation complex the CLI reads or as the
+    alternating-forms bicomplex of the dg-Lie algebra."""
+    problem = parse_problem(end_u(1) if name == "end_u1"
+                            else voronov(int(name[len("voronov"):])))
+    if kind == "bicomplex":
+        alg = problem["algebra"]
+        ce = CeBicomplex(alg, adjoint_module(alg), l)
+        blocks = {(p, p): db for p, db in enumerate(ce.delta_bar)}
+        blocks.update(((p, p + 1), dd) for p, dd in enumerate(ce.delta))
+        return ce, dense_assemble(ce, blocks, shift=1, check=False)
+    ce = ce_linf_self(linf_structure(_algebra(problem, 5), 5), l)
+    dims = [col.space.dim for col in ce.columns]
+    blocks = {key: dense_block(b, dims[key[1]], dims[key[0]])
+              for key, b in ce._blocks().items()}
+    return ce, dense_assemble(ce, blocks, shift=0, check=True)
+
+
+# the dense reference holds dim² entries, so the complexes above 1600
+# dimensions are left out: End(U_1) at l = 5 (4050 dimensions either way)
+# and the voronov5/voronov6 bicomplexes at l = 5 (2058 and 3600)
+TOO_WIDE = {("end_u1", 5, "linf"), ("end_u1", 5, "bicomplex"),
+            ("voronov5", 5, "bicomplex"), ("voronov6", 5, "bicomplex")}
+ORACLE_CASES = [
+    (name, l, kind)
+    for name in ["end_u1"] + [f"voronov{n}" for n in range(3, 7)]
+    for l in range(2, 6) for kind in ("linf", "bicomplex")
+    if (name, l, kind) not in TOO_WIDE]
+
+
+@pytest.mark.parametrize("name, l, kind", ORACLE_CASES,
+                         ids=[f"{n}-l{l}-{k}" for n, l, k in ORACLE_CASES])
+def test_sparse_total_complex_equals_dense_assembly(name, l, kind):
+    ce, (space, diff, levels) = oracle_complex(name, l, kind)
+    ftc = ce.total
+    assert ftc.space.labels == space.labels and ftc.levels == levels
+    # every column entry is nonzero, so the columns are the dense d's
+    assert all(all(col.values()) for col in ftc.columns)
+    assert ftc._differential is None
+    assert ftc.differential.matrix == diff.matrix
+    assert ftc.differential is ftc.differential
+    d = diff.matrix
+    for p in range(l):
+        for j in range(l):
+            assert ce.block(p, j) == [[d[r][c] for c in ce._glob[p]]
+                                      for r in ce._glob[j]], (p, j)
+    ref = Barcode(FilteredTotalComplex(space, diff, levels, l, check=False))
+    bc = Barcode(ftc)
+    assert (bc.pairs, bc.unpaired) == (ref.pairs, ref.unpaired)
+
+
+# -- each check of the total complex rejects its own fault -----------------
+
+# (columns as {degree: labels} per filtration level, entries as
+# (level, label) → (level, label), the message); each of the first three
+# breaks one invariant, and the last breaks two, of which the filtration is
+# checked first
+BROKEN = {
+    "lowers_level": ([{1: ["a"]}, {0: ["b"]}], [((1, "b"), (0, "a"))],
+                     "differential does not respect the filtration"),
+    "d_squared": ([{0: ["a"], 1: ["b"], 2: ["c"]}],
+                  [((0, "a"), (0, "b")), ((0, "b"), (0, "c"))],
+                  "total differential does not square to zero"),
+    "wrong_degree": ([{0: ["a"], 2: ["c"]}], [((0, "a"), (0, "c"))],
+                     r"entry \('p0\|c', 'p0\|a'\) violates degree 1 "
+                     "homogeneity"),
+    "lowers_level_and_d_squared": (
+        [{1: ["b"], 2: ["c"]}, {0: ["a"]}],
+        [((1, "a"), (0, "b")), ((0, "b"), (0, "c"))],
+        "differential does not respect the filtration"),
+}
+
+
+def hand_complex(columns):
+    cc = ColumnComplex()
+    cc.columns = [SimpleNamespace(space=GradedVectorSpace(c))
+                  for c in columns]
+    return cc
+
+
+def hand_blocks(cc, entries, dense):
+    blocks = {}
+    for (p, src), (p2, dst) in entries:
+        s, t = cc.columns[p].space, cc.columns[p2].space
+        if dense:
+            block = blocks.setdefault((p, p2), zeros(t.dim, s.dim))
+            block[t.index(dst)][s.index(src)] = Q1
+        else:
+            blocks.setdefault((p, p2), {})[(t.index(dst), s.index(src))] = Q1
+    return blocks
+
+
+def through_sparse_blocks(columns, entries):
+    cc = hand_complex(columns)
+    return cc._assemble(hand_blocks(cc, entries, dense=False), shift=0,
+                        check=True)
+
+
+def through_dense_reference(columns, entries):
+    cc = hand_complex(columns)
+    return dense_assemble(cc, hand_blocks(cc, entries, dense=True), shift=0,
+                          check=True)
+
+
+def through_dense_map(columns, entries):
+    comps = {}
+    for p, col in enumerate(columns):
+        for n, labels in col.items():
+            comps.setdefault(n, []).extend(f"p{p}|{x}" for x in labels)
+    space = GradedVectorSpace(comps)
+    images = {}
+    for (p, src), (p2, dst) in entries:
+        images.setdefault(f"p{p}|{src}", []).append((f"p{p2}|{dst}", 1))
+    d = GradedMap.from_images(space, space, 1, images)
+    levels = [int(lab[1:lab.index("|")]) for lab in space.labels]
+    return FilteredTotalComplex(space, d, levels, len(columns))
+
+
+@pytest.mark.parametrize("build", [
+    through_sparse_blocks, through_dense_map, through_dense_reference])
+@pytest.mark.parametrize("fault", sorted(BROKEN))
+def test_total_complex_checks_reject_each_fault(build, fault):
+    columns, entries, message = BROKEN[fault]
+    with pytest.raises(ValueError, match=message):
+        build(columns, entries)

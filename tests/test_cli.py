@@ -386,6 +386,27 @@ def test_ce_pages_builds_no_page_cell(capsys, monkeypatch):
     assert code == 0 and calls == [(2, 1, -1)]
 
 
+def test_commands_build_no_dense_total_differential(capsys, monkeypatch):
+    # every command reads the total complex through its sparse columns:
+    # the dense differential is built only when a caller asks for it
+    from ceformality import specseq
+    built = []
+    init = specseq.FilteredTotalComplex.__init__
+
+    def recorded(self, *a, **k):
+        built.append(self)
+        init(self, *a, **k)
+
+    monkeypatch.setattr(specseq.FilteredTotalComplex, "__init__", recorded)
+    for command in ("ce-pages", "euler", "obstructions", "formality",
+                    "kaledin"):
+        code, _, _ = run(capsys, command, fx("endu.json"))
+        assert code == 0, command
+        assert built, command
+        assert all(ftc._differential is None for ftc in built), command
+        built.clear()
+
+
 def test_barcode_fault_is_an_engine_fault(monkeypatch):
     # a rank disagreement inside the barcode's own check must surface as
     # an AssertionError, never as exit 1 "invalid input"

@@ -32,6 +32,13 @@ def dgla_matrices(alg):
     return {"d": alg.differential.matrix, "bracket": alg.bracket.matrix}
 
 
+def total_complex(ftc, name="ce"):
+    """The dense total differential and, read apart from it, the entries
+    of each of its sparse columns."""
+    return {name: ftc.differential.matrix,
+            f"{name}.columns": [list(col.values()) for col in ftc.columns]}
+
+
 def minimal_model_matrices(v):
     mm = minimal_model(v, v.bound)
     con = mm["contraction"]
@@ -52,12 +59,12 @@ def structures(problem):
         out.update({f"source.{k}": m for k, m in dgla_matrices(src).items()})
         out.update({f"target.{k}": m for k, m in
                     dgla_matrices(problem["target"]).items()})
-        out["ce"] = build_ce(src, adjoint_module(src), 3).differential.matrix
+        out.update(total_complex(build_ce(src, adjoint_module(src), 3)))
         return out
     alg = problem["algebra"]
     if kind == "linf":
         out = linf_matrices(alg)
-        out["ce"] = ce_linf_self(alg, 3).total.differential.matrix
+        out.update(total_complex(ce_linf_self(alg, 3).total))
         out.update(minimal_model_matrices(alg))
         return out
     out = dgla_matrices(alg)
@@ -65,13 +72,13 @@ def structures(problem):
         return out
     v = decalage(alg, 3)
     out.update({f"decalage.{k}": m for k, m in linf_matrices(v).items()})
-    out["ce"] = build_ce(alg, adjoint_module(alg), 3).differential.matrix
+    out.update(total_complex(build_ce(alg, adjoint_module(alg), 3)))
     out.update(minimal_model_matrices(v))
     if kind == "voronov":
         a, _ = derived_brackets(alg, problem["subalgebra"],
                                 problem["derivation"], 3)
         out.update({f"derived.{k}": m for k, m in linf_matrices(a).items()})
-        out["derived.ce"] = ce_linf_self(a, 3).total.differential.matrix
+        out.update(total_complex(ce_linf_self(a, 3).total, "derived.ce"))
     return out
 
 
