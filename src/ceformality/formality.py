@@ -12,8 +12,8 @@ from .dgla import (
 )
 from .graded import GradedMap, PowerMap
 from .linalg import (
-    Q1, mat_add, mat_mul, mat_sub, rank, solve, solve_right,
-    vec_sub, zero_vec, zeros,
+    Q1, mat_add, mat_mul, mat_sub, rank, solve, solve_right, zero_vec,
+    zeros,
 )
 from .linf import (
     InsufficientBounds, LInfinityAlgebra, LInfinityMorphism, LinfCeComplex,
@@ -78,22 +78,22 @@ def euler_class(obj, l):
 
 
 def _correct_representative(ftc, rep, p, r):
-    """Subtract w ∈ F^{p+1} so that d(rep − w) ∈ F^{p+r+1}; returns the
-    corrected representative (same page-(r+1) class leading term)."""
-    drep = ftc.apply(rep)
-    cols = [j for j in range(ftc.space.dim) if ftc.levels[j] >= p + 1]
-    rows = [i for i in range(ftc.space.dim) if ftc.levels[i] < p + r + 1]
-    if not rows:
-        return rep
-    a = ftc.block(rows, cols)
-    b = [drep[i] for i in rows]
-    sol = solve(a, b)
-    if sol is None:
+    """Subtract w ∈ F^{p+1} with d(rep − w) ∈ F^{p+r+1}: d rep is cleared
+    below level p+r+1 in pivot order by the barcode's V_y, y ∈ F^{p+1}."""
+    bc, levels = barcode(ftc), ftc.levels
+    rep, drep = list(rep), ftc.apply(rep)
+    rows = sorted((i for i in range(len(rep)) if levels[i] <= p + r),
+                  key=lambda i: (levels[i], -i))
+    for low in rows:
+        y = bc.owner.get(low)
+        if drep[low] and y is not None and levels[y] > p:
+            f = drep[low] / bc.reduced[y][low]
+            for vec, col in ((drep, bc.reduced[y]), (rep, bc.combination[y])):
+                for i, x in col.items():
+                    vec[i] -= f * x
+    if any(drep[i] for i in rows):
         raise AssertionError("page class vanished but no correction exists")
-    w = zero_vec(ftc.space.dim)
-    for k, j in enumerate(cols):
-        w[j] = sol[k]
-    return vec_sub(rep, w)
+    return rep
 
 
 def obstruction_sequence(alg, l, r_max):

@@ -6,7 +6,7 @@ coalgebra, relative coderivation complexes, and higher derived brackets."""
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, compress
+from itertools import combinations
 
 from .cecomplex import (
     ColumnComplex, HomColumn, ce_delta_bar_on, ce_delta_on, form_column,
@@ -27,31 +27,12 @@ class InsufficientBounds(Exception):
 
 
 class SymContext:
-    """Cache of symmetric-power bases of one space up to a weight bound,
-    with a flat basis for ⊕_{0≤n≤N} V^⊙n."""
+    """Cache of symmetric-power bases of one space up to a weight bound."""
 
     def __init__(self, space, bound):
         self.space = space
         self.bound = bound
         self.pb = [PowerBasis(space, SYMMETRIC, n) for n in range(bound + 1)]
-        self.flat = []
-        self._index = {}
-        self._starts = []
-        for n in range(bound + 1):
-            self._starts.append(len(self.flat))
-            for t_pos, t in enumerate(self.pb[n].elements):
-                self._index[(n, t_pos)] = len(self.flat)
-                self.flat.append((n, t_pos))
-        self.dim = len(self.flat)
-
-    def index(self, n, t_pos):
-        return self._index[(n, t_pos)]
-
-    def weight_slice(self, n):
-        """Positions of the weight-n block in the flat basis, as a slice:
-        ``vec[ctx.weight_slice(n)]`` reads the weight-n part of a vector."""
-        start = self._starts[n]
-        return slice(start, start + len(self.pb[n]))
 
 
 def coder_lift_block(q, ctx, n):
@@ -295,10 +276,10 @@ class LInfinityMorphism:
         return cls(source, target, {1: matrix})
 
     def component_value(self, tup):
-        """f applied to a canonical tuple, as a vector on the target's
-        truncated coalgebra basis.
+        """f applied to a canonical tuple, as {weight j: {position in
+        W^⊙j: entry}} over its nonzero entries only.
 
-        The vector is memoized and shared between calls: callers must not
+        The value is memoized and shared between calls: callers must not
         mutate it."""
         out = self._values.get(tup)
         if out is None:
@@ -311,16 +292,13 @@ class LInfinityMorphism:
         f(x_rest), on a shorter tuple, comes from the memo."""
         sctx, tctx = self.source.ctx, self.target.ctx
         n = len(tup)
-        out = zero_vec(tctx.dim)
         if n == 0:
-            out[tctx.index(0, 0)] = Q1
-            return out
+            return {0: {0: Q1}}
+        out = {}
         degs = [self.source.space.degrees[i] for i in tup]
         for k, comp in self.components.items():
             if k > n:
                 continue
-            # the tail f(x_rest) has weight ≤ n − k, and the product one more
-            stop = tctx.weight_slice(min(n - k, tctx.bound - 1)).stop
             pb = sctx.pb[k]
             for sel in combinations(range(1, n), k - 1):
                 block = (0,) + sel
@@ -332,25 +310,29 @@ class LInfinityMorphism:
                 rest = tuple(i for i in range(1, n) if i not in sel)
                 eps = shuffle_sign(degs, block)
                 tail_val = self.component_value(tuple(tup[i] for i in rest))
-                for pos in compress(range(stop), tail_val):
-                    j, t_pos = tctx.flat[pos]
-                    x = eps * tail_val[pos]
-                    tail = tctx.pb[j].elements[t_pos]
+                for j, part in tail_val.items():
+                    # the product has weight j + 1
+                    if j >= tctx.bound:
+                        continue
+                    tails = tctx.pb[j].elements
                     product = tctx.pb[j + 1].product
-                    for a, y in head:
-                        s_out, r = product(a, tail)
-                        if s_out:
-                            out[tctx.index(j + 1, r)] += s_out * x * y
-        return out
+                    acc = out.setdefault(j + 1, {})
+                    for t_pos, v in part.items():
+                        x = eps * v
+                        for a, y in head:
+                            s_out, r = product(a, tails[t_pos])
+                            if s_out:
+                                acc[r] = acc.get(r, 0) + s_out * x * y
+        return {j: nonzero for j, acc in out.items()
+                if (nonzero := {r: x for r, x in acc.items() if x})}
 
     def block(self, k, n):
         """Weight n → k block F_{k←n} of the coalgebra morphism, read from
         the memoized values (k at most the target's weight bound)."""
-        rows = self.target.ctx.weight_slice(k)
         pb_in = self.source.ctx.pb[n]
-        m = zeros(rows.stop - rows.start, len(pb_in))
+        m = zeros(len(self.target.ctx.pb[k]), len(pb_in))
         for c, t in enumerate(pb_in.elements):
-            for r, x in enumerate(self.component_value(t)[rows]):
+            for r, x in self.component_value(t).get(k, {}).items():
                 m[r][c] = x
         return m
 
@@ -372,7 +354,7 @@ def validate_linf_morphism(f):
             if m <= n:
                 res = mat_sub(res, mat_mul(rm.matrix, f.block(m, n)))
         failures += _failures(src.space.labels, src.ctx.pb[n], n, res)
-    unit_ok = f.component_value(())[tgt.ctx.index(0, 0)] == 1
+    unit_ok = f.component_value(()).get(0) == {0: 1}
     return {"ok": not failures and unit_ok, "unit": unit_ok,
             "failures": failures}
 
@@ -472,9 +454,10 @@ class LinfCeComplex(ColumnComplex):
     def _add_r_part(self, m, p, j, r_on):
         """Σ_k r_k(α(u_sel) ⊙ f(u_rest)), walking each weight-j tuple u and
         p-subset sel of its positions once: u_sel is the canonical basis
-        tuple of the maps α it feeds, and f is evaluated once on u_rest."""
+        tuple of the maps α it feeds, and f is evaluated once on u_rest,
+        whose weight-w part meets r_{w+1}."""
         f = self.f
-        src, tctx = f.source, f.target.ctx
+        src = f.source
         pb = src.ctx.pb[p]
         col, out = self.columns[p], self.columns[j]
         for u_pos, u in enumerate(src.ctx.pb[j].elements):
@@ -485,13 +468,13 @@ class LinfCeComplex(ColumnComplex):
                 rest = tuple(i for i in range(j) if i not in sel)
                 eps = shuffle_sign(degs, sel)
                 fval = f.component_value(tuple(u[i] for i in rest))
-                for k, r_k in r_on.items():
-                    for r_wy, coeff in zip(r_k,
-                                           fval[tctx.weight_slice(k - 1)]):
-                        if not coeff:
-                            continue
+                for w, part in fval.items():
+                    r_k = r_on.get(w + 1)
+                    if r_k is None:
+                        continue
+                    for y_pos, coeff in part.items():
                         x = eps * coeff
-                        for pos, pairs in zip(cols, r_wy):
+                        for pos, pairs in zip(cols, r_k[y_pos]):
                             for r, v in pairs:
                                 key = (rows[r], pos)
                                 m[key] = m.get(key, 0) + v * x

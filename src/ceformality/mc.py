@@ -5,6 +5,7 @@ quadraticity comparison for formal algebras."""
 from __future__ import annotations
 
 from fractions import Fraction
+from math import factorial
 
 from .dgla import cohomology, cohomology_lie
 from .linalg import (
@@ -94,20 +95,13 @@ def gauge_act(a, x):
     n = 0
     while term:
         total = _poly_add(total, _poly_scale(term, Fraction(
-            1, _factorial(n + 1))))
+            1, factorial(n + 1))))
         term = _poly_bracket(alg, a.coefficients, term, order)
         # scale bookkeeping: [a,−]^n applied to seed, coefficient 1/(n+1)!
         n += 1
         if n > order + 2:
             break
     return TruncatedElement(alg, order, total, 1)
-
-
-def _factorial(n):
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def mc_lift(x):

@@ -20,23 +20,16 @@ class FilteredTotalComplex:
 
     Every flat basis vector carries a level 0 ≤ level < length; F^p is the
     span of basis vectors of level ≥ p, and the differential never lowers
-    the level.  The differential is kept as sparse columns: ``columns[x]``
-    is d(e_x) as {row: entry} over its nonzero rows.  It is given either as
-    those columns or as a dense degree-1 ``GradedMap``; the dense
-    ``differential`` is built from the columns on first read.  The cell
-    cache is filled by ``page_cell``, the barcode by ``barcode``.
+    the level.  The differential is given as sparse columns: ``columns[x]``
+    is d(e_x) as {row: entry} over its nonzero rows.  The dense
+    ``differential`` is built from them on first read.  The cell cache is
+    filled by ``page_cell``, the barcode by ``barcode``.
     """
 
-    def __init__(self, space, differential, levels, length, check=True):
+    def __init__(self, space, columns, levels, length, check=True):
         self.space = space
-        if isinstance(differential, GradedMap):
-            d = differential.matrix
-            self._differential = differential
-            self.columns = [{r: row[x] for r, row in enumerate(d) if row[x]}
-                            for x in range(space.dim)]
-        else:
-            self._differential = None
-            self.columns = differential
+        self.columns = columns
+        self._differential = None
         self.levels = list(levels)
         self.length = length
         self._cell_cache = {}
@@ -177,7 +170,7 @@ class Barcode:
         levels = ftc.levels
         order = sorted(range(ftc.space.dim), key=lambda i: (-levels[i], i))
         pos = {i: k for k, i in enumerate(order)}
-        owner = {}  # pivot row → the column whose R owns it
+        self.owner = {}  # pivot row → the column whose R owns it
         self.reduced, self.combination = {}, {}  # x → R_x, V_x
         self._reach = [inf] * ftc.space.dim  # x → level(pivot of R_x)
         self.pairs = []
@@ -185,9 +178,9 @@ class Barcode:
             col, comb = dict(ftc.columns[x]), {x: Q1}
             while col:
                 low = max(col, key=pos.__getitem__)
-                y = owner.get(low)
+                y = self.owner.get(low)
                 if y is None:
-                    owner[low] = x
+                    self.owner[low] = x
                     self._reach[x] = levels[low]
                     self.pairs.append((x, low, levels[low] - levels[x]))
                     break

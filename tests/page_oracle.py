@@ -7,6 +7,8 @@ and the images of the cycles one column left.  ``SpectralPage`` builds whole
 pages eagerly, with the matrix of d_r out of every cell, and checks that d_r
 never leaves the computed support.  Nothing here reads the barcode, so the
 tests compare two independent constructions of the same cells.
+``sparse_columns`` turns a dense differential into the columns that
+``FilteredTotalComplex`` takes.
 
 This module is imported by the tests; pytest does not collect it.
 """
@@ -124,6 +126,13 @@ class SpectralPage:
 
     def differential_is_zero(self, p, q):
         return all(x == 0 for row in self.differential(p, q) for x in row)
+
+
+def sparse_columns(d):
+    """d(e_x) as {row: entry} over its nonzero rows, for each column x of a
+    dense ``GradedMap``: the form ``FilteredTotalComplex`` takes d in."""
+    return [{r: row[x] for r, row in enumerate(d.matrix) if row[x]}
+            for x in range(d.source.dim)]
 
 
 def page(ftc, r):

@@ -33,7 +33,7 @@ from ceformality.mc import lift_to_order
 from ceformality.problems import load_problem
 from ceformality.specseq import abutment_check, quotient_compare
 from ceformality.formality import _euler_vector
-from page_oracle import page
+from page_oracle import page, sparse_columns
 from test_formality import gauged as conjugate
 
 F = Fraction
@@ -385,4 +385,4 @@ def random_filtered_complex(seed, dim=10, length=4):
             m[r][c] = F(0)
     from ceformality.specseq import FilteredTotalComplex
     d = GradedMap(v, v, 1, m)
-    return FilteredTotalComplex(v, d, sorted_levels, length)
+    return FilteredTotalComplex(v, sparse_columns(d), sorted_levels, length)

@@ -19,6 +19,7 @@ from ceformality.linf import (
 )
 from ceformality.problems import parse_problem
 from ceformality.specseq import Barcode, FilteredTotalComplex
+from page_oracle import sparse_columns
 from test_cli import end_u, voronov
 
 F = Fraction
@@ -329,7 +330,8 @@ def test_sparse_total_complex_equals_dense_assembly(name, l, kind):
         for j in range(l):
             assert ce.block(p, j) == [[d[r][c] for c in ce._glob[p]]
                                       for r in ce._glob[j]], (p, j)
-    ref = Barcode(FilteredTotalComplex(space, diff, levels, l, check=False))
+    ref = Barcode(FilteredTotalComplex(space, sparse_columns(diff), levels, l,
+                                       check=False))
     bc = Barcode(ftc)
     assert (bc.pairs, bc.unpaired) == (ref.pairs, ref.unpaired)
 
@@ -398,7 +400,8 @@ def through_dense_map(columns, entries):
         images.setdefault(f"p{p}|{src}", []).append((f"p{p2}|{dst}", 1))
     d = GradedMap.from_images(space, space, 1, images)
     levels = [int(lab[1:lab.index("|")]) for lab in space.labels]
-    return FilteredTotalComplex(space, d, levels, len(columns))
+    return FilteredTotalComplex(space, sparse_columns(d), levels,
+                                len(columns))
 
 
 @pytest.mark.parametrize("build", [

@@ -46,6 +46,10 @@ def minimal_model_matrices(v):
     for side in ("into", "onto"):
         for j, m in mm[side].components.items():
             out[f"{side}.f{j}"] = m
+        # the values the transfer's checks memoized, one row per weight
+        out[f"{side}.values"] = [list(part.values())
+                                 for value in mm[side]._values.values()
+                                 for part in value.values()]
     out.update({"i": con.i.matrix, "p": con.p.matrix, "h": con.h.matrix})
     return out
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ceformality import formality, specseq
+from ceformality.cli import _algebra
 from ceformality.dgla import DgLieAlgebra, cohomology_lie
 from ceformality.formality import (
     InsufficientBounds, euler_class, euler_power_map, formality_verdict,
@@ -21,7 +22,9 @@ from ceformality.linf import (
     exp_coderivation, linf_structure, nr_bracket, validate_linf,
     validate_linf_morphism,
 )
-from ceformality.problems import load_problem
+from ceformality.problems import load_problem, parse_problem
+from ceformality.specseq import FilteredTotalComplex, cell_coordinates
+from test_cli import end_u
 
 F = Fraction
 
@@ -116,6 +119,104 @@ def test_obstructions_vanish_for_quadratic_structure():
     alg = decalage(sl2(), 5)
     res = obstruction_sequence(alg, 5, 3)
     assert res["all_vanish"]
+
+
+def solve_correction(ftc, rep, p, r):
+    """The representative's correction by one solve, the reference for
+    ``_correct_representative``: the block of d from F^{p+1} to the rows
+    below level p+r+1, eliminated from scratch."""
+    drep = ftc.apply(rep)
+    cols = [j for j in range(ftc.space.dim) if ftc.levels[j] >= p + 1]
+    rows = [i for i in range(ftc.space.dim) if ftc.levels[i] < p + r + 1]
+    if not rows:
+        return rep
+    a = ftc.block(rows, cols)
+    b = [drep[i] for i in rows]
+    sol = solve(a, b)
+    if sol is None:
+        raise AssertionError("page class vanished but no correction exists")
+    w = zero_vec(ftc.space.dim)
+    for k, j in enumerate(cols):
+        w[j] = sol[k]
+    return [x - y for x, y in zip(rep, w)]
+
+
+def in_filtration(ftc, vec, p):
+    """vec ∈ F^p."""
+    return not any(x for x, lev in zip(vec, ftc.levels) if lev < p)
+
+
+def fixture_structure(name, weight):
+    path = os.path.join(os.path.dirname(__file__), "fixtures", name + ".json")
+    return _algebra(load_problem(path), weight)
+
+
+# (structure, weight, columns) on which the obstruction sequence runs at
+# formality_verdict's bounds; only the gauged conjugates, whose Euler
+# vector has d in F^3 but not in F^4, need a nonzero correction
+CORRECTION_CASES = {
+    **{f"{name}.json": (lambda name=name: (fixture_structure(name, 5), 5, 6))
+       for name in ("sl2", "heis3", "quadcone", "endu", "linf_min",
+                    "voronov5")},
+    **{f"voronov{n}": (lambda n=n: (voronov_derived(n, n=n), n, n + 1))
+       for n in range(3, 10)},
+    "end_u1": lambda: (parse_problem(end_u(1))["algebra"], 5, 6),
+    **{f"gauged_{name}": (lambda args=args: (gauged(*args)[0], args[1],
+                                             args[1] + 1))
+       for name, args in [("endu", ("endu", 5, 2)),
+                          ("quadcone", ("quadcone", 4, 3)),
+                          ("linf_min", ("linf_min", 4, 2))]},
+}
+
+
+@pytest.mark.parametrize("case", CORRECTION_CASES)
+def test_corrections_from_the_barcode_equal_the_solve_reference(
+        case, monkeypatch):
+    # at each r the sequence reaches, both corrections leave d(rep′) in
+    # F^{p+r+1} and rep − rep′ in F^{p+1}, and the reports are equal
+    obj, weight, columns = CORRECTION_CASES[case]()
+    v = linf_structure(obj, weight)
+    alg = v if v.is_minimal() else minimal_model(v, weight)["minimal"]
+    l = min(columns, weight + 1)
+    r_max = min(l - 2, weight - 1)
+    ce = ce_linf_self(alg, l)
+    ftc, p = ce.total, 1
+    rep = formality._euler_vector(ce, alg)
+    reached, changed = [], False
+    for r in range(2, r_max + 1):
+        coords = cell_coordinates(ftc, r, p + r, -r, ftc.apply(rep))
+        if any(coords):
+            break
+        reached.append(r)
+        new = formality._correct_representative(ftc, rep, p, r)
+        for out in (new, solve_correction(ftc, rep, p, r)):
+            assert in_filtration(ftc, ftc.apply(out), p + r + 1), r
+            assert in_filtration(ftc, [x - y for x, y in zip(rep, out)],
+                                 p + 1), r
+        changed |= new != rep
+        rep = new
+    assert changed == case.startswith("gauged")
+    report = obstruction_sequence(alg, l, r_max)
+    assert len(report["entries"]) == len(reached) + \
+        (report["first_nonzero"] is not None)
+    monkeypatch.setattr(formality, "_correct_representative",
+                        solve_correction)
+    assert obstruction_sequence(alg, l, r_max) == report
+
+
+def test_correction_of_a_nonvanishing_class_is_an_engine_fault():
+    # d a = b with a at level 1 and b at level 3: the class of b on page 2
+    # does not vanish, since nothing of level ≥ 2 reaches it
+    v = GradedVectorSpace({0: ["a"], 1: ["b"]})
+    hand = FilteredTotalComplex(v, [{1: Q1}, {}], [1, 3], 4)
+    # and Voronov's Euler vector, whose d_2 class is the witness
+    alg = voronov_derived(3, n=3)
+    ce = ce_linf_self(alg, 4)
+    for ftc, rep in ((hand, [Q1, Q0]),
+                     (ce.total, formality._euler_vector(ce, alg))):
+        for correct in (formality._correct_representative, solve_correction):
+            with pytest.raises(AssertionError, match="no correction exists"):
+                correct(ftc, rep, 1, 2)
 
 
 # -- minimal model ---------------------------------------------------------

@@ -205,6 +205,50 @@ def all_tuples(ctx):
     return [t for n in range(ctx.bound + 1) for t in ctx.pb[n].elements]
 
 
+class FlatBasis:
+    """The flat basis of ⊕_{0≤n≤N} V^⊙n over a ``SymContext``: the dense
+    references' own indexing, in which a sparse ``component_value`` is
+    read as one vector."""
+
+    def __init__(self, ctx):
+        self.pb = ctx.pb
+        self.flat = []
+        self._index = {}
+        self._starts = []
+        for n in range(ctx.bound + 1):
+            self._starts.append(len(self.flat))
+            for t_pos in range(len(ctx.pb[n])):
+                self._index[(n, t_pos)] = len(self.flat)
+                self.flat.append((n, t_pos))
+        self.dim = len(self.flat)
+
+    def index(self, n, t_pos):
+        return self._index[(n, t_pos)]
+
+    def weight_slice(self, n):
+        """Positions of the weight-n block, as a slice."""
+        start = self._starts[n]
+        return slice(start, start + len(self.pb[n]))
+
+    def dense(self, value):
+        """A value {weight: {position: entry}} as a vector on this basis."""
+        out = zero_vec(self.dim)
+        for n, part in value.items():
+            for t_pos, x in part.items():
+                out[self.index(n, t_pos)] = x
+        return out
+
+
+def assert_values_sparse(f):
+    """Every memoized value of f holds only nonzero entries, no empty
+    weight and no weight above the target's bound."""
+    assert f._values
+    for t, value in f._values.items():
+        for j, part in value.items():
+            assert part and 0 <= j <= f.target.bound, (t, j)
+            assert all(part.values()), (t, j)
+
+
 def assert_matches_fresh(f):
     """Every memoized or new value of f equals that of an unmemoized copy."""
     fresh = LInfinityMorphism(f.source, f.target, f.components)
@@ -238,9 +282,10 @@ def partition_sum_value(f, tup):
     positions: ε · f¹(x_B₁) ⊙ … ⊙ f¹(x_Bⱼ), ε the Koszul sign of putting
     the blocks side by side."""
     sctx, tctx = f.source.ctx, f.target.ctx
-    out = zero_vec(tctx.dim)
+    flat = FlatBasis(tctx)
+    out = zero_vec(flat.dim)
     if not tup:
-        out[tctx.index(0, 0)] = Q1
+        out[flat.index(0, 0)] = Q1
         return out, 0
     killed = 0
     degs = [f.source.space.degrees[i] for i in tup]
@@ -263,7 +308,7 @@ def partition_sum_value(f, tup):
         for coeff, t in terms:
             sign, canon = tctx.pb[j].normalize(t)
             if sign:
-                out[tctx.index(j, tctx.pb[j].index(canon))] += sign * coeff
+                out[flat.index(j, tctx.pb[j].index(canon))] += sign * coeff
             else:
                 killed += 1
     return out, killed
@@ -282,14 +327,16 @@ def test_component_value_equals_the_partition_sum(seed):
                           LInfinityAlgebra(space, {}, 3), comps)
     # longest tuples first, so the recursion fills its own memo
     tuples = sorted(all_tuples(f.source.ctx), key=len, reverse=True)
+    flat = FlatBasis(f.target.ctx)
     nonzero = killed = 0
     for t in tuples:
         want, k = partition_sum_value(f, t)
-        assert f.component_value(t) == want, t
+        assert flat.dense(f.component_value(t)) == want, t
         killed += k
         if len(t) >= 3:
             nonzero += sum(1 for x in want if x)
     assert nonzero and killed
+    assert_values_sparse(f)
 
 
 def gauge_morphism():
@@ -388,10 +435,10 @@ def assert_lifts_match_reference(q, ctx):
             reference_lift_block(q, ctx, n), (q.arity, n)
 
 
-def add_block(big, ctx, out_w, in_w, block):
-    """Add a weight in_w → out_w block into a matrix on ctx's flat basis."""
-    start = ctx.weight_slice(in_w).start
-    for row, brow in zip(big[ctx.weight_slice(out_w)], block):
+def add_block(big, flat, out_w, in_w, block):
+    """Add a weight in_w → out_w block into a matrix on a flat basis."""
+    start = flat.weight_slice(in_w).start
+    for row, brow in zip(big[flat.weight_slice(out_w)], block):
         for c, x in enumerate(brow):
             if x:
                 row[start + c] += x
@@ -400,22 +447,24 @@ def add_block(big, ctx, out_w, in_w, block):
 def qhat(alg):
     """Square matrix of the codifferential on ⊕_{n≤N} V^⊙n."""
     ctx = alg.ctx
-    m = zeros(ctx.dim, ctx.dim)
+    flat = FlatBasis(ctx)
+    m = zeros(flat.dim, flat.dim)
     for n in range(1, ctx.bound + 1):
         for k, qk in alg.taylor.items():
             if k <= n:
-                add_block(m, ctx, n - k + 1, n,
+                add_block(m, flat, n - k + 1, n,
                           reference_lift_block(qk, ctx, n))
     return m
 
 
 def big_matrix(f):
     """Matrix of the full coalgebra morphism on the truncated bases."""
-    sctx, tctx = f.source.ctx, f.target.ctx
-    m = zeros(tctx.dim, sctx.dim)
-    for c, (n, t_pos) in enumerate(sctx.flat):
-        val = f.component_value(sctx.pb[n].elements[t_pos])
-        for r in range(tctx.dim):
+    sctx = f.source.ctx
+    sflat, tflat = FlatBasis(sctx), FlatBasis(f.target.ctx)
+    m = zeros(tflat.dim, sflat.dim)
+    for c, (n, t_pos) in enumerate(sflat.flat):
+        val = tflat.dense(f.component_value(sctx.pb[n].elements[t_pos]))
+        for r in range(tflat.dim):
             m[r][c] = val[r]
     return m
 
@@ -423,12 +472,13 @@ def big_matrix(f):
 def dense_validate_linf(alg):
     """q̂² = 0 on every column of the truncated coalgebra."""
     ctx = alg.ctx
+    flat = FlatBasis(ctx)
     qq = mat_mul(qhat(alg), qhat(alg))
     failures = []
     for n in range(1, ctx.bound + 1):
         for t_pos, t in enumerate(ctx.pb[n].elements):
-            c = ctx.index(n, t_pos)
-            col = [qq[r][c] for r in range(ctx.dim)]
+            c = flat.index(n, t_pos)
+            col = [qq[r][c] for r in range(flat.dim)]
             if not is_zero_vec(col):
                 label = "⊙".join(alg.space.labels[i] for i in t)
                 failures.append({"weight": n, "tuple": label, "residual": [
@@ -443,15 +493,15 @@ def dense_validate_linf_morphism(f):
     lhs = mat_mul(big, qhat(src))
     rhs = mat_mul(qhat(tgt), big)
     failures = []
-    sctx = src.ctx
-    for c, (n, t_pos) in enumerate(sctx.flat):
-        col = [lhs[r][c] - rhs[r][c] for r in range(tgt.ctx.dim)]
+    sflat, tflat = FlatBasis(src.ctx), FlatBasis(tgt.ctx)
+    for c, (n, t_pos) in enumerate(sflat.flat):
+        col = [lhs[r][c] - rhs[r][c] for r in range(tflat.dim)]
         if not is_zero_vec(col):
-            t = sctx.pb[n].elements[t_pos]
+            t = src.ctx.pb[n].elements[t_pos]
             failures.append({
                 "weight": n,
                 "tuple": "⊙".join(src.space.labels[i] for i in t)})
-    unit_ok = big[tgt.ctx.index(0, 0)][sctx.index(0, 0)] == 1
+    unit_ok = big[tflat.index(0, 0)][sflat.index(0, 0)] == 1
     return {"ok": not failures and unit_ok, "unit": unit_ok,
             "failures": failures}
 
@@ -459,9 +509,10 @@ def dense_validate_linf_morphism(f):
 def dense_compose_morphisms(g, f):
     """g ∘ f, its components read off the product of the big matrices."""
     big = mat_mul(big_matrix(g), big_matrix(f))
-    w1 = big[g.target.ctx.weight_slice(1)]
+    w1 = big[FlatBasis(g.target.ctx).weight_slice(1)]
     sctx = f.source.ctx
-    comps = {j: [row[sctx.weight_slice(j)] for row in w1]
+    sflat = FlatBasis(sctx)
+    comps = {j: [row[sflat.weight_slice(j)] for row in w1]
              for j in range(1, sctx.bound + 1)}
     return LInfinityMorphism(f.source, g.target, comps)
 
@@ -487,18 +538,19 @@ def exp_nilpotent(m):
 def dense_exp_coderivation(alg, alpha):
     """(R, e^{α̂}) with r read off e^{−α̂} Q̂ e^{α̂} as square matrices."""
     ctx = alg.ctx
-    lift = zeros(ctx.dim, ctx.dim)
+    flat = FlatBasis(ctx)
+    lift = zeros(flat.dim, flat.dim)
     for n in range(alpha.arity - 1, ctx.bound + 1):
-        add_block(lift, ctx, n - alpha.arity + 1, n,
+        add_block(lift, flat, n - alpha.arity + 1, n,
                   reference_lift_block(alpha, ctx, n))
     expm = exp_nilpotent(lift)
     expm_inv = exp_nilpotent([[-x for x in row] for row in lift])
     conj = mat_mul(expm_inv, mat_mul(qhat(alg), expm))
-    w1 = ctx.weight_slice(1)
+    w1 = flat.weight_slice(1)
     taylor = {}
     comps = {}
     for j in range(1, ctx.bound + 1):
-        cols = ctx.weight_slice(j)
+        cols = flat.weight_slice(j)
         m = [row[cols] for row in conj[w1]]
         if not is_zero_mat(m):
             taylor[j] = PowerMap(ctx.pb[j], alg.space, 1, m)
@@ -563,6 +615,7 @@ def test_corestriction_checks_equal_the_dense_references(make):
     assert_same_verdict(validate_linf(w), dense_validate_linf(w))
     for mor in (g, f, compose_morphisms(g, f), compose_morphisms(f, g)):
         assert_morphism_matches_dense(mor)
+        assert_values_sparse(mor)
     for outer, inner in ((g, f), (f, g)):
         assert compose_morphisms(outer, inner).components == \
             dense_compose_morphisms(outer, inner).components
@@ -575,6 +628,7 @@ def test_corestriction_checks_equal_the_dense_references(make):
             assert taylor_of(new) == taylor_of(dense_new)
             assert phi.components == dense_phi.components
             assert_morphism_matches_dense(phi)
+            assert_values_sparse(phi)
 
 
 @pytest.mark.parametrize("make", ORACLE_MODELS.values(), ids=ORACLE_MODELS)

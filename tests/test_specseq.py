@@ -17,7 +17,7 @@ from ceformality.specseq import (
     Barcode, FilteredTotalComplex, abutment_check, barcode, cell_coordinates,
     degenerates_at, page_cell, page_map, quotient_compare, r_max,
 )
-from page_oracle import page
+from page_oracle import page, sparse_columns
 
 F = Fraction
 
@@ -26,13 +26,13 @@ def two_column_collapse():
     """x in F^0 degree 0 mapping isomorphically onto y in F^1 degree 1."""
     v = GradedVectorSpace({0: ["x"], 1: ["y"]})
     d = GradedMap.from_images(v, v, 1, {"x": [("y", 1)]})
-    return FilteredTotalComplex(v, d, [0, 1], 2)
+    return FilteredTotalComplex(v, sparse_columns(d), [0, 1], 2)
 
 
 def zero_differential_ftc():
     v = GradedVectorSpace({0: ["a", "b"], 1: ["c"]})
     d = GradedMap.zero(v, v, 1)
-    return FilteredTotalComplex(v, d, [0, 1, 0], 2)
+    return FilteredTotalComplex(v, sparse_columns(d), [0, 1, 0], 2)
 
 
 def random_filtered_complex(seed, dim=6, length=3):
@@ -68,7 +68,7 @@ def random_filtered_complex(seed, dim=6, length=3):
         if not is_zero_mat(mat_mul(m, m)):
             m[r][c] = F(0)
     d = GradedMap(v, v, 1, m)
-    return FilteredTotalComplex(v, d, sorted_levels, length)
+    return FilteredTotalComplex(v, sparse_columns(d), sorted_levels, length)
 
 
 def test_zero_differential_pages_stationary():
