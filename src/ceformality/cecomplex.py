@@ -172,15 +172,13 @@ def ce_delta_on(src, dst):
                             parity_sign(mdeg[w] - tdeg + p) * chi * c
         for i in range(p1):
             for j in range(i + 1, p1):
-                br = L.bracket_basis(s[i], s[j])
-                if not any(br):
+                br = L.bracket_column(s[i], s[j])
+                if not br:
                     continue
                 rest = tuple(s[k] for k in range(p1) if k != i and k != j)
                 perm = [k for k in range(p1) if k != i and k != j] + [i, j]
                 chi = koszul_sign(degs, perm, antisymmetric=True)
-                for k, c in enumerate(br):
-                    if not c:
-                        continue
+                for k, c in br:
                     sign, t = src.pb.normalize(rest + (k,))
                     if not sign:
                         continue

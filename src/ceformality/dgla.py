@@ -4,14 +4,15 @@ and cohomology with explicit contraction data."""
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .graded import (
     EXTERIOR, GradedMap, GradedVectorSpace, PowerBasis, PowerMap, parity_sign,
 )
 from .linalg import (
-    Q0, Q1, Subspace, block_kernel, identity, is_zero_mat, is_zero_vec,
-    mat_add, mat_mul, mat_sub, mat_vec, solve_matrix, transpose, vec_add,
-    vec_scale, vec_sub, zero_vec, zeros,
+    Q0, Q1, Subspace, block_kernel, identity, is_zero_mat, mat_add, mat_mul,
+    mat_sub, mat_vec, solve_matrix, transpose, vec_add, vec_scale, vec_sub,
+    zero_vec, zeros,
 )
 
 
@@ -43,6 +44,17 @@ class DgLieAlgebra:
         self.space = space
         self.differential = differential
         self.bracket = bracket  # PowerMap on PowerBasis(space, EXTERIOR, 2)
+        # [e_i, e_j] for every ordered pair with a nonzero bracket, as its
+        # (row, entry) pairs with the normalization sign of (i, j) applied
+        self._columns = {}
+        pb, m = bracket.pb, bracket.matrix
+        for c, (i, j) in enumerate(pb.elements):
+            col = [(r, row[c]) for r, row in enumerate(m) if row[c]]
+            if col:
+                self._columns[i, j] = col
+                if i != j:
+                    sign = pb.normalize((j, i))[0]
+                    self._columns[j, i] = [(r, sign * e) for r, e in col]
 
     @classmethod
     def from_data(cls, components, d_images, bracket_images, check=True):
@@ -71,19 +83,19 @@ class DgLieAlgebra:
         bracket = PowerMap(pb, v, 0, m)
         return cls(v, d, bracket)
 
-    def bracket_basis(self, i, j):
-        """[e_i, e_j] as a vector."""
-        return self.bracket.eval_tuple((i, j))
+    def bracket_column(self, i, j):
+        """[e_i, e_j] as its (row, entry) pairs; [] for a zero bracket."""
+        return self._columns.get((i, j), [])
 
     def bracket_vec(self, x, y):
         out = zero_vec(self.space.dim)
+        y_support = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
-            if not xi:
-                continue
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                out = vec_add(out, vec_scale(xi * yj, self.bracket_basis(i, j)))
+            if xi:
+                for j, yj in y_support:
+                    c = xi * yj
+                    for r, e in self.bracket_column(i, j):
+                        out[r] += c * e
         return out
 
     def complex(self):
@@ -110,48 +122,45 @@ def validate_dgla(cand):
         "witness": None if is_zero_mat(dd) else "d∘d has a nonzero entry",
     })
 
-    leib_ok, leib_wit = True, None
-    for i in range(v.dim):
-        for j in range(v.dim):
-            lhs = d.apply(cand.bracket_basis(i, j))
-            ei = [Q1 if k == i else Q0 for k in range(v.dim)]
-            ej = [Q1 if k == j else Q0 for k in range(v.dim)]
-            rhs = vec_add(
-                cand.bracket_vec(d.apply(ei), ej),
-                vec_scale(parity_sign(v.degrees[i]), cand.bracket_vec(ei, d.apply(ej))),
-            )
-            if lhs != rhs:
-                leib_ok, leib_wit = False, (v.labels[i], v.labels[j])
-                break
-        if not leib_ok:
-            break
-    report.append({"axiom": "leibniz", "ok": leib_ok, "witness": leib_wit})
+    n = v.dim
+    d_cols = [[(r, row[c]) for r, row in enumerate(d.matrix) if row[c]]
+              for c in range(n)]
+    col = cand.bracket_column
 
-    jac_ok, jac_wit = True, None
-    for i in range(v.dim):
-        for j in range(v.dim):
-            for k in range(v.dim):
-                di, dj, dk = v.degrees[i], v.degrees[j], v.degrees[k]
-                ei = [Q1 if t == i else Q0 for t in range(v.dim)]
-                ej = [Q1 if t == j else Q0 for t in range(v.dim)]
-                ek = [Q1 if t == k else Q0 for t in range(v.dim)]
-                total = zero_vec(v.dim)
-                for (a, da), (b, _db), (c, dc) in (
-                    ((ei, di), (ej, dj), (ek, dk)),
-                    ((ej, dj), (ek, dk), (ei, di)),
-                    ((ek, dk), (ei, di), (ej, dj)),
-                ):
-                    term = cand.bracket_vec(cand.bracket_vec(a, b), c)
-                    total = vec_add(total, vec_scale(parity_sign(da * dc), term))
-                if not is_zero_vec(total):
-                    jac_ok, jac_wit = False, (v.labels[i], v.labels[j], v.labels[k])
-                    break
-            if not jac_ok:
-                break
-        if not jac_ok:
+    leib_wit = None
+    for i, j in product(range(n), repeat=2):
+        # d[e_i, e_j] − [d e_i, e_j] − (−1)^{|e_i|} [e_i, d e_j]
+        s = -parity_sign(v.degrees[i])
+        terms = [(e, d_cols[r]) for r, e in col(i, j)]
+        terms += [(-x, col(k, j)) for k, x in d_cols[i]]
+        terms += [(s * x, col(i, k)) for k, x in d_cols[j]]
+        if not _vanishes(terms):
+            leib_wit = (v.labels[i], v.labels[j])
             break
-    report.append({"axiom": "jacobi", "ok": jac_ok, "witness": jac_wit})
+    report.append({"axiom": "leibniz", "ok": leib_wit is None,
+                   "witness": leib_wit})
+
+    jac_wit = None
+    for i, j, k in product(range(n), repeat=3):
+        # Σ over cyclic (a, b, c) of (−1)^{|a||c|} [[a, b], c]
+        terms = [(parity_sign(v.degrees[a] * v.degrees[c]) * e, col(r, c))
+                 for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+                 for r, e in col(a, b)]
+        if not _vanishes(terms):
+            jac_wit = (v.labels[i], v.labels[j], v.labels[k])
+            break
+    report.append({"axiom": "jacobi", "ok": jac_wit is None,
+                   "witness": jac_wit})
     return report
+
+
+def _vanishes(terms):
+    """Whether Σ coeff · column is zero, over (coeff, sparse column) pairs."""
+    acc = {}
+    for coeff, column in terms:
+        for r, e in column:
+            acc[r] = acc.get(r, 0) + coeff * e
+    return not any(acc.values())
 
 
 def dgla_is_valid(cand):
@@ -183,9 +192,8 @@ def adjoint_module(alg):
     for j in range(n):
         m = zeros(n, n)
         for i in range(n):
-            col = alg.bracket_basis(i, j)
-            for r in range(n):
-                m[r][i] = col[r]
+            for r, e in alg.bracket_column(i, j):
+                m[r][i] = e
         mats.append(m)
     return DgModule(alg, alg.space, alg.differential, mats)
 
@@ -198,13 +206,15 @@ def validate_morphism(f, src, tgt):
             tgt.differential.matrix, f.matrix):
         return {"ok": False, "witness": "does not commute with differentials"}
     n = src.space.dim
+    f_cols = [[row[c] for row in f.matrix] for c in range(n)]
     for i in range(n):
         for j in range(i, n):
-            ei = [Q1 if t == i else Q0 for t in range(n)]
-            ej = [Q1 if t == j else Q0 for t in range(n)]
-            lhs = f.apply(src.bracket_basis(i, j))
-            rhs = tgt.bracket_vec(f.apply(ei), f.apply(ej))
-            if lhs != rhs:
+            lhs = zero_vec(tgt.space.dim)
+            for r, e in src.bracket_column(i, j):
+                for t, x in enumerate(f_cols[r]):
+                    if x:
+                        lhs[t] += e * x
+            if lhs != tgt.bracket_vec(f_cols[i], f_cols[j]):
                 return {"ok": False,
                         "witness": (src.space.labels[i], src.space.labels[j])}
     return {"ok": True, "witness": None}

@@ -17,8 +17,7 @@ from .graded import (
     parity_sign, shuffle_sign,
 )
 from .linalg import (
-    Q1, identity, is_zero_mat, is_zero_vec, mat_add, mat_mul, mat_sub,
-    zero_vec, zeros,
+    Q1, identity, is_zero_mat, mat_add, mat_mul, mat_sub, zero_vec, zeros,
 )
 
 
@@ -189,10 +188,9 @@ def decalage(alg_l, bound):
     pb2 = ctx.pb[2]
     m = zeros(v.dim, len(pb2))
     for c, (i, j) in enumerate(pb2.elements):
-        val = alg_l.bracket_basis(i, j)
         sgn = -parity_sign(v.degrees[i])
-        for r in range(v.dim):
-            m[r][c] = sgn * val[r]
+        for r, e in alg_l.bracket_column(i, j):
+            m[r][c] = sgn * e
     taylor[2] = PowerMap(pb2, v, 1, m)
     return LInfinityAlgebra(v, taylor, bound)
 
@@ -580,18 +578,16 @@ def derived_brackets(ambient, n_sub_labels, d_label, n_max):
         raise ValueError("the inner derivation must have degree +1")
     d_vec = zero_vec(g.space.dim)
     d_vec[d_i] = Q1
-    if not is_zero_vec(g.bracket_vec(d_vec, d_vec)):
+    if g.bracket_column(d_i, d_i):
         raise ValueError("the inner derivation does not square to zero")
     n_set = set(n_idx)
     for i in n_idx:
         for j in n_idx:
-            val = g.bracket_basis(i, j)
-            for r, c in enumerate(val):
-                if c and r not in n_set:
-                    raise ValueError("subalgebra is not bracket-closed")
+            if any(r not in n_set for r, _ in g.bracket_column(i, j)):
+                raise ValueError("subalgebra is not bracket-closed")
     for i in a_idx:
         for j in a_idx:
-            if not is_zero_vec(g.bracket_basis(i, j)):
+            if g.bracket_column(i, j):
                 raise ValueError("complement is not abelian")
 
     comps = {}

@@ -174,12 +174,13 @@ def test_criterion_06_worked_chain():
     u = amb.space.index("u")
     d = amb.space.index("v3")
     # [d, u] = -3 v2 and [[d, u], u] = 6 v1
-    du = amb.bracket_basis(d, u)
+    unit_d, unit_u = ([F(1) if i == k else F(0) for i in range(amb.space.dim)]
+                      for k in (d, u))
+    du = amb.bracket_vec(unit_d, unit_u)
     expect = [F(0)] * amb.space.dim
     expect[amb.space.index("v2")] = F(-3)
     assert du == expect
-    ddu = amb.bracket_vec(du, [F(1) if i == u else F(0)
-                               for i in range(amb.space.dim)])
+    ddu = amb.bracket_vec(du, unit_u)
     expect = [F(0)] * amb.space.dim
     expect[amb.space.index("v1")] = F(6)
     assert ddu == expect

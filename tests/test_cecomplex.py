@@ -105,7 +105,8 @@ def test_delta_on_identity_gives_bracket():
     phi[src.index(1, 1)] = Q1  # e => e
     img = mat_vec(mat, phi)
     val = dst.evaluate(img, (0, 1))  # on h ∧ e
-    assert val == [-c for c in L.bracket_basis(0, 1)] == [F(0), F(-1)]
+    assert val == [-c for c in L.bracket_vec(unit(2, 0), unit(2, 1))] \
+        == [F(0), F(-1)]
 
 
 def test_delta_p0_formula():

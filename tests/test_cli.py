@@ -347,6 +347,19 @@ def test_end_u_family_verdicts(capsys, tmp_path, k, bounds, verdict):
     assert json.loads(out)["verdict"] == verdict
 
 
+def test_end_u3_validates_and_has_gl3_cohomology(capsys, tmp_path):
+    # 25 basis vectors: the axioms run over 25³ ordered triples, which the
+    # sparse bracket columns check in a fraction of a second
+    path = tmp_path / "end_u3.json"
+    path.write_text(json.dumps(end_u(3)))
+    code, out, _ = run(capsys, "validate", str(path), "--format", "json")
+    assert code == 0 and json.loads(out)["valid"] is True
+    code, out, _ = run(capsys, "cohomology", str(path), "--format", "json")
+    report = json.loads(out)
+    assert code == 0 and report["contraction_ok"] is True
+    assert report["dimensions"] == {"0": 9}
+
+
 def test_dgla_commands_build_no_bicomplex(capsys, monkeypatch):
     from ceformality import cecomplex
     calls = []

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from ceformality.cecomplex import build_ce
-from ceformality.dgla import adjoint_module, dgla_is_valid
+from ceformality.dgla import adjoint_module, cohomology_lie, dgla_is_valid
 from ceformality.formality import minimal_model
 from ceformality.linf import ce_linf_self, decalage, derived_brackets
 from ceformality.problems import load_problem
@@ -29,7 +29,12 @@ def linf_matrices(alg):
 
 
 def dgla_matrices(alg):
-    return {"d": alg.differential.matrix, "bracket": alg.bracket.matrix}
+    """d, the bracket's matrix and, read apart from it, the entries of
+    every bracket column over every ordered pair of basis vectors."""
+    n = alg.space.dim
+    return {"d": alg.differential.matrix, "bracket": alg.bracket.matrix,
+            "bracket.columns": [[e for _, e in alg.bracket_column(i, j)]
+                                for i in range(n) for j in range(n)]}
 
 
 def total_complex(ftc, name="ce"):
@@ -74,6 +79,8 @@ def structures(problem):
     out = dgla_matrices(alg)
     if not dgla_is_valid(alg):
         return out
+    h_alg, _ = cohomology_lie(alg)
+    out.update({f"cohomology.{k}": m for k, m in dgla_matrices(h_alg).items()})
     v = decalage(alg, 3)
     out.update({f"decalage.{k}": m for k, m in linf_matrices(v).items()})
     out.update(total_complex(build_ce(alg, adjoint_module(alg), 3)))
