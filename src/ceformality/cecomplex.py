@@ -7,12 +7,11 @@ and the benchmark's page oracle compare it against."""
 
 from __future__ import annotations
 
-from .dgla import CochainComplex, cohomology
 from .graded import (
     EXTERIOR, GradedVectorSpace, PowerBasis, koszul_sign, parity_sign,
 )
-from .linalg import is_zero_mat, mat_add, mat_mul, zero_vec, zeros
-from .specseq import FilteredTotalComplex, barcode
+from .linalg import is_zero_mat, mat_add, mat_mul, zeros
+from .specseq import FilteredTotalComplex
 
 
 class HomColumn:
@@ -45,18 +44,6 @@ class HomColumn:
 
     def index(self, t_pos, w):
         return self.flat[t_pos][w]
-
-    def evaluate(self, vec, args):
-        """Value of the form ``vec`` on an arbitrary index tuple, in W."""
-        out = zero_vec(self.target.space.dim)
-        sign, canon = self.pb.normalize(args)
-        if sign == 0 or canon not in self.pb._index:
-            return out
-        for w, pos in enumerate(self.flat[self.pb.index(canon)]):
-            c = vec[pos]
-            if c:
-                out[w] += sign * c
-        return out
 
 
 def form_column(alg, mod, p):
@@ -262,33 +249,3 @@ def pushforward_matrix(f, ce_src, ce_dst):
                         gr = ce_dst.global_index(p, dst.index(t_pos, r))
                         m[gr][gc] += c
     return m
-
-
-def ce_first_page_check(alg, mod, l):
-    """Compare E₁ of the truncated bicomplex against graded dimensions of
-    forms on cohomology with values in cohomology."""
-    ftc = build_ce(alg, mod, l)
-    hl = cohomology(CochainComplex(alg.space, alg.differential,
-                                   check=False)).cohomology
-    hm = cohomology(CochainComplex(mod.space, mod.differential,
-                                   check=False)).cohomology
-    e1 = barcode(ftc).dims(1)
-    report = {"ok": True, "cells": []}
-    for p in range(l):
-        pb = PowerBasis(hl, EXTERIOR, p)
-        expected = {}
-        for t_pos in range(len(pb)):
-            tdeg = pb.degree(t_pos)
-            for m_idx in range(hm.dim):
-                q = hm.degrees[m_idx] - tdeg
-                expected[q] = expected.get(q, 0) + 1
-        qs = set(expected) | {q for (pp, q) in e1 if pp == p}
-        for q in sorted(qs):
-            got = e1[(p, q)]
-            want = expected.get(q, 0)
-            report["cells"].append(
-                {"p": p, "q": q, "e1_dim": got, "hom_dim": want,
-                 "ok": got == want})
-            if got != want:
-                report["ok"] = False
-    return report

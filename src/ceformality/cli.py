@@ -28,6 +28,7 @@ from .specseq import barcode, r_max as page_bound
 USAGE_EXIT = 64
 INVALID_EXIT = 1
 BOUNDS_EXIT = 2
+ENGINE_EXIT = 70
 
 COMMANDS = (
     "validate", "cohomology", "ce-pages", "euler", "obstructions",
@@ -342,6 +343,9 @@ def main(argv=None):
     except (ProblemError, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return INVALID_EXIT
+    except Exception as exc:  # an internal invariant failed, or memory ran out
+        print(f"engine fault: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return ENGINE_EXIT
 
 
 if __name__ == "__main__":

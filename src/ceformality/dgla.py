@@ -1,5 +1,5 @@
-"""Differential graded Lie algebras, modules over them, cochain complexes,
-and cohomology with explicit contraction data."""
+"""Differential graded Lie algebras, their axiom and morphism checks, the
+adjoint module, and cohomology with explicit contraction data."""
 
 from __future__ import annotations
 
@@ -11,25 +11,9 @@ from .graded import (
 )
 from .linalg import (
     Q0, Q1, Subspace, block_kernel, identity, is_zero_mat, mat_add, mat_mul,
-    mat_sub, mat_vec, solve_matrix, transpose, vec_add, vec_scale, vec_sub,
-    zero_vec, zeros,
+    mat_sub, mat_vec, solve_matrix, transpose, vec_add, vec_scale, zero_vec,
+    zeros,
 )
-
-
-class CochainComplex:
-    """A graded space with a square-zero degree +1 differential."""
-
-    def __init__(self, space, differential, check=True):
-        if differential.degree != 1:
-            raise ValueError("differential must have degree +1")
-        if check and not is_zero_mat(mat_mul(differential.matrix,
-                                             differential.matrix)):
-            raise ValueError("differential does not square to zero")
-        self.space = space
-        self.differential = differential
-
-    def d(self, v):
-        return self.differential.apply(v)
 
 
 class DgLieAlgebra:
@@ -97,9 +81,6 @@ class DgLieAlgebra:
                     for r, e in self.bracket_column(i, j):
                         out[r] += c * e
         return out
-
-    def complex(self):
-        return CochainComplex(self.space, self.differential, check=False)
 
 
 def validate_dgla(cand):
@@ -178,13 +159,6 @@ class DgModule:
         self.differential = differential
         self.action = action
 
-    def act(self, m_vec, x_vec):
-        out = zero_vec(self.space.dim)
-        for j, xj in enumerate(x_vec):
-            if xj:
-                out = vec_add(out, vec_scale(xj, mat_vec(self.action[j], m_vec)))
-        return out
-
 
 def adjoint_module(alg):
     mats = []
@@ -220,92 +194,21 @@ def validate_morphism(f, src, tgt):
     return {"ok": True, "witness": None}
 
 
-def module_via_morphism(f, src, tgt):
-    """Make the target of a dg-Lie morphism a module over the source via
-    [m, x] = [m, f(x)]."""
-    rep = validate_morphism(f, src, tgt)
-    if not rep["ok"]:
-        raise ValueError(f"not a dg-Lie algebra morphism: {rep['witness']}")
-    mats = []
-    for j in range(src.space.dim):
-        ej = [Q1 if t == j else Q0 for t in range(src.space.dim)]
-        fx = f.apply(ej)
-        m = zeros(tgt.space.dim, tgt.space.dim)
-        for i in range(tgt.space.dim):
-            ei = [Q1 if t == i else Q0 for t in range(tgt.space.dim)]
-            col = tgt.bracket_vec(ei, fx)
-            for r in range(tgt.space.dim):
-                m[r][i] = col[r]
-        mats.append(m)
-    return DgModule(src, tgt.space, tgt.differential, mats)
-
-
-def validate_module(mod):
-    """Chain-map and module-axiom checks for a DgModule; list of reports."""
-    L, M = mod.base, mod
-    report = []
-    chain_ok, chain_wit = True, None
-    nl, nm = L.space.dim, M.space.dim
-    for i in range(nm):
-        for j in range(nl):
-            mi = [Q1 if t == i else Q0 for t in range(nm)]
-            xj = [Q1 if t == j else Q0 for t in range(nl)]
-            lhs = M.differential.apply(M.act(mi, xj))
-            rhs = vec_add(
-                M.act(M.differential.apply(mi), xj),
-                vec_scale(parity_sign(M.space.degrees[i]),
-                          M.act(mi, L.differential.apply(xj))),
-            )
-            if lhs != rhs:
-                chain_ok = False
-                chain_wit = (M.space.labels[i], L.space.labels[j])
-                break
-        if not chain_ok:
-            break
-    report.append({"axiom": "action_chain_map", "ok": chain_ok,
-                   "witness": chain_wit})
-
-    ax_ok, ax_wit = True, None
-    for i in range(nm):
-        for j in range(nl):
-            for k in range(nl):
-                mi = [Q1 if t == i else Q0 for t in range(nm)]
-                xj = [Q1 if t == j else Q0 for t in range(nl)]
-                yk = [Q1 if t == k else Q0 for t in range(nl)]
-                lhs = M.act(mi, L.bracket_vec(xj, yk))
-                rhs = vec_sub(
-                    M.act(M.act(mi, xj), yk),
-                    vec_scale(
-                        parity_sign(L.space.degrees[j] * L.space.degrees[k]),
-                        M.act(M.act(mi, yk), xj)),
-                )
-                if lhs != rhs:
-                    ax_ok = False
-                    ax_wit = (M.space.labels[i], L.space.labels[j],
-                              L.space.labels[k])
-                    break
-            if not ax_ok:
-                break
-        if not ax_ok:
-            break
-    report.append({"axiom": "module_axiom", "ok": ax_ok, "witness": ax_wit})
-    return report
-
-
 class Contraction:
-    """Cohomology H of a complex together with maps i, p, h satisfying
-    p i = 1, i p − 1 = d h + h d, and the side conditions hi = ph = hh = 0."""
+    """Cohomology H of a complex (V, d) together with maps i, p, h
+    satisfying p i = 1, i p − 1 = d h + h d, and the side conditions
+    hi = ph = hh = 0."""
 
-    def __init__(self, complex_, cohomology, inclusion, projection, homotopy):
-        self.complex = complex_
+    def __init__(self, d, cohomology, inclusion, projection, homotopy):
+        self.d = d
         self.cohomology = cohomology
         self.i = inclusion
         self.p = projection
         self.h = homotopy
 
     def verify(self):
-        n = self.complex.space.dim
-        d = self.complex.differential.matrix
+        n = self.d.source.dim
+        d = self.d.matrix
         i, p, h = self.i.matrix, self.p.matrix, self.h.matrix
         hdim = self.cohomology.dim
         ip = mat_mul(i, p) if hdim else zeros(n, n)
@@ -320,19 +223,21 @@ class Contraction:
         return checks
 
 
-def cohomology(complex_):
-    """Compute H*(complex) with an explicit deterministic contraction:
-    complements and representatives are picked in index order."""
-    v = complex_.space
-    dmat = complex_.differential.matrix
+def cohomology(d):
+    """Compute H* of the complex (V, d), for d a degree +1 ``GradedMap`` on
+    V, with an explicit deterministic contraction: complements and
+    representatives are picked in index order."""
+    if d.degree != 1:
+        raise ValueError("differential must have degree +1")
+    v = d.source
+    dmat = d.matrix
     if not is_zero_mat(mat_mul(dmat, dmat)):
         raise ValueError("differential does not square to zero")
     degs = v.degree_support()
     if not degs:
         h = GradedVectorSpace({})
         zero = GradedMap.zero
-        return Contraction(complex_, h, zero(h, v, 0), zero(v, h, 0),
-                           zero(v, v, -1))
+        return Contraction(d, h, zero(h, v, 0), zero(v, h, 0), zero(v, v, -1))
 
     def unit(i):
         return [Q1 if t == i else Q0 for t in range(v.dim)]
@@ -399,7 +304,7 @@ def cohomology(complex_):
     inc = GradedMap(hspace, v, 0, i_mat)
     proj = GradedMap(v, hspace, 0, p_mat)
     htpy = GradedMap(v, v, -1, h_mat)
-    return Contraction(complex_, hspace, inc, proj, htpy)
+    return Contraction(d, hspace, inc, proj, htpy)
 
 
 def _h_offset(hspace, k):
@@ -414,7 +319,7 @@ def cohomology_lie(alg):
 
     Returns (H as a DgLieAlgebra with zero differential, contraction).
     """
-    con = cohomology(alg.complex())
+    con = cohomology(alg.differential)
     h = con.cohomology
     pb = PowerBasis(h, EXTERIOR, 2)
     m = zeros(h.dim, len(pb))

@@ -6,10 +6,7 @@ the t-deformation class of a minimal structure."""
 from __future__ import annotations
 
 from .cecomplex import pushforward_matrix
-from .dgla import (
-    CochainComplex, DgLieAlgebra, cohomology, cohomology_lie,
-    validate_morphism,
-)
+from .dgla import DgLieAlgebra, cohomology, cohomology_lie, validate_morphism
 from .graded import GradedMap, PowerMap
 from .linalg import (
     Q1, mat_add, mat_mul, mat_sub, rank, solve, solve_right, zero_vec,
@@ -145,9 +142,7 @@ def minimal_model(alg, bound):
         first = rep["failures"][0]
         raise ValueError(f"structure fails its relations at weight "
                          f"{first['weight']} ({first['tuple']})")
-    cx = CochainComplex(
-        alg.space, GradedMap(alg.space, alg.space, 1, alg.q(1).matrix))
-    con = cohomology(cx)
+    con = cohomology(GradedMap(alg.space, alg.space, 1, alg.q(1).matrix))
     hspace = con.cohomology
     w_alg = LInfinityAlgebra(hspace, {}, bound)
     imat, pmat, hmat = con.i.matrix, con.p.matrix, con.h.matrix
@@ -296,8 +291,9 @@ def formality_verdict(obj, weight=5, columns=5):
     stage s is the first nonzero differential, d_{s−1} out of the Euler
     cell (1, −1).  On the cells (p, q) of page r with p + r ≤ l, for l
     the column bound, the truncation is exact: projecting the untruncated
-    complex onto the truncated one is bijective there, as
-    ``quotient_compare`` checks.  A disagreement is an engine fault."""
+    complex onto the truncated one is bijective there, as the tests'
+    reference ``quotient_compare`` (``tests/page_oracle.py``) checks.  A
+    disagreement is an engine fault."""
     if weight < 3 or columns < 4:
         raise InsufficientBounds("need weight >= 3 and columns >= 4")
     v_alg = linf_structure(obj, weight)

@@ -6,7 +6,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations_with_replacement, compress
 
-from .linalg import Q0, identity, is_zero_mat, mat_add, mat_mul, mat_vec, zeros
+from .linalg import is_zero_mat, mat_add, mat_vec, zeros
 
 
 def parity_sign(e):
@@ -181,21 +181,8 @@ class GradedMap:
                 m[target.index(tlab)][c] = Fraction(coeff)
         return cls(source, target, degree, m, check=check)
 
-    @classmethod
-    def identity_map(cls, space):
-        return cls(space, space, 0, identity(space.dim))
-
     def apply(self, v):
         return mat_vec(self.matrix, v)
-
-    def compose(self, other):
-        """self ∘ other."""
-        if other.target is not self.source and other.target != self.source:
-            raise ValueError("composition mismatch")
-        return GradedMap(
-            other.source, self.target, self.degree + other.degree,
-            mat_mul(self.matrix, other.matrix),
-        )
 
     def is_zero(self):
         return is_zero_mat(self.matrix)
@@ -284,8 +271,7 @@ class PowerBasis:
 class PowerMap:
     """Multilinear graded map V^⊙n (or V^∧n) → W of uniform degree.
 
-    Stored as a matrix on the canonical power basis; evaluation on arbitrary
-    tuples routes through normalization signs.
+    Stored as a matrix on the canonical power basis.
     """
 
     def __init__(self, pb, target, degree, matrix):
@@ -307,19 +293,6 @@ class PowerMap:
     @classmethod
     def zero(cls, pb, target, degree):
         return cls(pb, target, degree, zeros(target.dim, len(pb)))
-
-    def eval_tuple(self, tup):
-        """Value on an arbitrary index tuple, as a vector in the target."""
-        sign, canon = self.pb.normalize(tup)
-        out = [Q0] * self.target.dim
-        if sign == 0 or canon not in self.pb._index:
-            return out
-        c = self.pb.index(canon)
-        for r in range(self.target.dim):
-            v = self.matrix[r][c]
-            if v:
-                out[r] = sign * v
-        return out
 
     def is_zero(self):
         return is_zero_mat(self.matrix)

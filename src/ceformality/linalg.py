@@ -85,10 +85,6 @@ def vec_add(u, v):
     return [x + y for x, y in zip(u, v)]
 
 
-def vec_sub(u, v):
-    return [x - y for x, y in zip(u, v)]
-
-
 def vec_scale(c, v):
     return [c * x for x in v]
 
@@ -263,23 +259,6 @@ class Subspace:
         w, coeffs = self._eliminate(v)
         return coeffs if is_zero_vec(w) else None
 
-    def intersect(self, other):
-        """Z ∩ B via the kernel of the stacked coefficient system."""
-        if not self.basis or not other.basis:
-            return Subspace(self.ambient)
-        # columns: coefficients on self.basis then on other.basis
-        a = []
-        for i in range(self.ambient):
-            a.append([v[i] for v in self.basis] + [-v[i] for v in other.basis])
-        vecs = []
-        for k in nullspace(a):
-            v = zero_vec(self.ambient)
-            for c, bv in zip(k[: len(self.basis)], self.basis):
-                if c:
-                    v = vec_add(v, vec_scale(c, bv))
-            vecs.append(v)
-        return Subspace(self.ambient, vecs)
-
 
 class Quotient:
     """Z/B with representatives and a coordinate map on Z.
@@ -317,6 +296,3 @@ class Quotient:
         if zc is None:
             raise ValueError("vector outside the subspace being quotiented")
         return mat_vec(self._coord_map, zc)
-
-    def is_zero_class(self, v):
-        return all(c == 0 for c in self.coordinates(v))

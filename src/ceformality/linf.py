@@ -1,20 +1,18 @@
 """Weight-truncated brace structures on graded spaces: coderivation lifts,
-the arity-shifting bracket of multilinear maps, shift equivalence with dg-Lie
-algebras both ways, coalgebra-morphism calculus on the truncated symmetric
-coalgebra, relative coderivation complexes, and higher derived brackets."""
+the arity-shifting bracket of multilinear maps, the décalage of a dg-Lie
+algebra, coalgebra-morphism calculus on the truncated symmetric coalgebra,
+relative coderivation complexes, and higher derived brackets."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
 
-from .cecomplex import (
-    ColumnComplex, HomColumn, ce_delta_bar_on, ce_delta_on, form_column,
-)
+from .cecomplex import ColumnComplex, HomColumn
 from .dgla import DgLieAlgebra
 from .graded import (
-    EXTERIOR, SYMMETRIC, GradedMap, GradedVectorSpace, PowerBasis, PowerMap,
-    parity_sign, shuffle_sign,
+    SYMMETRIC, GradedVectorSpace, PowerBasis, PowerMap, parity_sign,
+    shuffle_sign,
 )
 from .linalg import (
     Q1, identity, is_zero_mat, mat_add, mat_mul, mat_sub, zero_vec, zeros,
@@ -141,9 +139,6 @@ class LInfinityAlgebra:
     def is_minimal(self):
         return 1 not in self.taylor
 
-    def is_trivial_beyond_q2(self):
-        return all(n <= 2 for n in self.taylor)
-
 
 def _failures(labels, pb, n, residual):
     """One failure per nonzero column of a residual on the weight-n tuples:
@@ -215,27 +210,6 @@ def linf_structure(obj, weight):
         weight)
 
 
-def undecalage(alg_v):
-    """Inverse of the shift: requires all q_n (n ≥ 3) to vanish."""
-    for n in alg_v.taylor:
-        if n >= 3:
-            raise ValueError("higher components present; not the shift of a "
-                             "dg-Lie algebra")
-    lspace = alg_v.space.shift(-1)
-    d = [[-x for x in row] for row in alg_v.q(1).matrix]
-    pb = PowerBasis(lspace, EXTERIOR, 2)
-    q2 = alg_v.q(2)
-    m = zeros(lspace.dim, len(pb))
-    for c, (i, j) in enumerate(pb.elements):
-        # [su, sv] = −(−1)^{ū} s q₂(u, v)
-        val = q2.eval_tuple((i, j))
-        sgn = -parity_sign(alg_v.space.degrees[i])
-        for r in range(lspace.dim):
-            m[r][c] = sgn * val[r]
-    bracket = PowerMap(pb, lspace, 0, m)
-    return DgLieAlgebra(lspace, GradedMap(lspace, lspace, 1, d), bracket)
-
-
 class LInfinityMorphism:
     """Coalgebra morphism between truncated structures, stored through its
     corestriction components f¹_j: V^⊙j → W of degree 0.
@@ -264,10 +238,6 @@ class LInfinityMorphism:
         else:
             self.components[j] = m
         self._values = {t: v for t, v in self._values.items() if len(t) < j}
-
-    @property
-    def linear(self):
-        return self.f1(1)
 
     @classmethod
     def from_linear(cls, source, target, matrix):
@@ -506,57 +476,6 @@ def ce_linf_self(alg, l):
     if ce is None:
         ce = alg._ce[l] = LinfCeComplex(identity_morphism(alg), l)
     return ce
-
-
-def decalage_conjugation(alg_l, l, bound=None):
-    """Degree +1 column-wise bijection between the coderivation complex of
-    the shifted structure and the alternating-forms bicomplex of L.
-
-    Returns per-column matrices s_p and verifies that s anticommutes with
-    both differentials: δ̄∘s + s∘[q₁,−] = 0 and δ∘s + s∘[q₂,−] = 0, so the
-    total differentials agree up to a global sign and the two filtered
-    complexes have identical pages.
-    """
-    from .dgla import adjoint_module
-
-    if bound is None:
-        bound = l
-    v_alg = decalage(alg_l, bound)
-    mod = adjoint_module(alg_l)
-    cols_l = [form_column(alg_l, mod, p) for p in range(l + 1)]
-    ce_v = ce_linf_self(v_alg, l + 1)
-    v = v_alg.space
-    smats = []
-    for p in range(l + 1):
-        colv = ce_v.columns[p]
-        coll = cols_l[p]
-        m = zeros(coll.space.dim, colv.space.dim)
-        for cidx, (t_pos, w_idx) in enumerate(colv.pairs):
-            t = v_alg.ctx.pb[p].elements[t_pos]
-            sgn = parity_sign(p)
-            for i, vi in enumerate(t):
-                sgn *= parity_sign((p - 1 - i) * v.degrees[vi])
-            # same index tuples name the wedge basis of L
-            l_t_pos = coll.pb.index(t) if p else 0
-            m[coll.index(l_t_pos, w_idx)][cidx] = Fraction(sgn)
-        smats.append(m)
-
-    report = {"ok": True, "columns": []}
-    for p in range(l):
-        # vertical: δ̄ s_p + s_p [q₁, −] = 0
-        db = ce_delta_bar_on(cols_l[p])
-        nr1 = ce_v.block(p, p)
-        vert = mat_add(mat_mul(db, smats[p]), mat_mul(smats[p], nr1))
-        # horizontal: δ s_p + s_{p+1} [q₂, −] = 0
-        dd = ce_delta_on(cols_l[p], cols_l[p + 1])
-        nr2 = ce_v.block(p, p + 1)
-        horiz = mat_add(mat_mul(dd, smats[p]), mat_mul(smats[p + 1], nr2))
-        ok = is_zero_mat(vert) and is_zero_mat(horiz)
-        report["columns"].append({"p": p, "vertical_ok": is_zero_mat(vert),
-                                  "horizontal_ok": is_zero_mat(horiz)})
-        if not ok:
-            report["ok"] = False
-    return smats, report
 
 
 def derived_brackets(ambient, n_sub_labels, d_label, n_max):

@@ -1,11 +1,10 @@
-"""Maurer–Cartan solutions with coefficients in K[t]/(tⁿ), the exponential
-gauge action, order-by-order lifting with cohomology obstructions, and the
-quadraticity comparison for formal algebras."""
+"""Maurer–Cartan solutions with coefficients in K[t]/(tⁿ), order-by-order
+lifting with cohomology obstructions, and the quadraticity comparison for
+formal algebras."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
 from .dgla import cohomology, cohomology_lie
 from .linalg import (
@@ -80,30 +79,6 @@ def mc_check(x):
             "order": x.order}
 
 
-def gauge_act(a, x):
-    """e^a ∗ x = x + Σ_{n≥0} [a,−]ⁿ/(n+1)! ([a,x] − da), truncated."""
-    if a.degree != 0:
-        raise ValueError("gauge generator must have degree 0")
-    if x.degree != 1:
-        raise ValueError("gauge acts on degree-1 elements")
-    alg = x.alg
-    order = x.order
-    seed = _poly_add(_poly_bracket(alg, a.coefficients, x.coefficients, order),
-                     _poly_scale(_poly_d(alg, a.coefficients), Fraction(-1)))
-    total = dict(x.coefficients)
-    term = seed
-    n = 0
-    while term:
-        total = _poly_add(total, _poly_scale(term, Fraction(
-            1, factorial(n + 1))))
-        term = _poly_bracket(alg, a.coefficients, term, order)
-        # scale bookkeeping: [a,−]^n applied to seed, coefficient 1/(n+1)!
-        n += 1
-        if n > order + 2:
-            break
-    return TruncatedElement(alg, order, total, 1)
-
-
 def mc_lift(x):
     """Obstruction to extending a solution mod tⁿ one order further.
 
@@ -120,7 +95,7 @@ def mc_lift(x):
     ob = vec_scale(Fraction(1, 2), br.get(n, zero_vec(alg.space.dim)))
     if not is_zero_vec(mat_vec(alg.differential.matrix, ob)):
         raise AssertionError("lifting obstruction is not closed")
-    con = cohomology(alg.complex())
+    con = cohomology(alg.differential)
     cls = mat_vec(con.p.matrix, ob) if con.cohomology.dim else []
     # solve d(x_n) = −ob within degree 1
     deg1 = alg.space.indices_in_degree(1)

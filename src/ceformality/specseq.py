@@ -1,17 +1,16 @@
 """Finite filtered complexes and their spectral sequences: the barcode,
 one column reduction that gives every page dimension, every d_r source
-and every cell's cycles and boundaries; page maps, degeneration checks,
-abutment comparison, and quotient-filtration comparison."""
+and every cell's cycles and boundaries; page maps and degeneration
+checks."""
 
 from __future__ import annotations
 
 from collections import Counter
 from math import inf
 
-from .graded import GradedMap, GradedVectorSpace
+from .graded import GradedMap
 from .linalg import (
-    Q1, Quotient, Subspace, block_kernel, is_zero_vec, mat_vec, rank,
-    zero_vec, zeros,
+    Q1, Quotient, Subspace, is_zero_vec, mat_vec, zero_vec, zeros,
 )
 
 
@@ -82,35 +81,6 @@ class FilteredTotalComplex:
                 if i is not None:
                     m[i][j] = a
         return m
-
-    def filtration_subspace(self, p):
-        vecs = []
-        for i, lev in enumerate(self.levels):
-            if lev >= p:
-                e = zero_vec(self.space.dim)
-                e[i] = Q1
-                vecs.append(e)
-        return Subspace(self.space.dim, vecs)
-
-    def quotient_by_level(self, lev):
-        """The quotient complex by F^lev, with the index map old → new."""
-        keep = [i for i, l in enumerate(self.levels) if l < lev]
-        comps = {}
-        for i in keep:
-            comps.setdefault(self.space.degrees[i], []).append(
-                self.space.labels[i])
-        qspace = GradedVectorSpace(comps)
-        index_map = {i: qspace.index(self.space.labels[i]) for i in keep}
-        qcolumns = [{} for _ in range(qspace.dim)]
-        qlevels = [0] * qspace.dim
-        for i in keep:
-            qcolumns[index_map[i]] = {index_map[r]: a
-                                      for r, a in self.columns[i].items()
-                                      if r in index_map}
-            qlevels[index_map[i]] = self.levels[i]
-        return (FilteredTotalComplex(qspace, qcolumns, qlevels, lev,
-                                     check=False),
-                index_map)
 
 
 def page_cell(ftc, r, p, q):
@@ -303,67 +273,6 @@ def degenerates_at(ftc, k, cell=None):
         if sources:
             return False, (r, *min(sources))
     return True, None
-
-
-def abutment_check(ftc):
-    """Assert dim E_∞^{p,q} equals the graded dimension of the filtration
-    induced on the cohomology of the total complex."""
-    einf = barcode(ftc).dims(r_max(ftc))
-    dim = ftc.space.dim
-    d = ftc.differential.matrix
-    report = {"ok": True, "cells": []}
-    for n in ftc.space.degree_support():
-        below = ftc.space.indices_in_degree(n - 1)
-        z = block_kernel(d, ftc.space.indices_in_degree(n + 1),
-                         ftc.space.indices_in_degree(n), dim)
-        bvecs = []
-        for i in below:
-            e = zero_vec(dim)
-            e[i] = Q1
-            bvecs.append(ftc.apply(e))
-        b = Subspace(dim, bvecs)
-
-        def filt_h_dim(p):
-            zp = z.intersect(ftc.filtration_subspace(p))
-            bp = b.intersect(ftc.filtration_subspace(p))
-            return zp.dim - bp.dim
-
-        for p in range(ftc.length):
-            gr = filt_h_dim(p) - filt_h_dim(p + 1)
-            got = einf[(p, n - p)]
-            report["cells"].append(
-                {"p": p, "q": n - p, "e_inf": got, "gr_h": gr,
-                 "ok": got == gr})
-            if got != gr:
-                report["ok"] = False
-    return report
-
-
-def quotient_compare(ftc, lev):
-    """Compare pages of the complex with pages of its quotient by F^lev.
-
-    The projection induces maps E_r^{p,q} → E(lev)_r^{p,q}; they must be
-    injective for p < lev and surjective when additionally p + r ≤ lev.
-    """
-    qftc, index_map = ftc.quotient_by_level(lev)
-    proj = zeros(qftc.space.dim, ftc.space.dim)
-    for old, new in index_map.items():
-        proj[new][old] = Q1
-    report = {"ok": True, "cells": []}
-    for r in range(0, r_max(ftc) + 1):
-        for (p, q), mat in page_map(ftc, qftc, proj, r).items():
-            if p >= lev:
-                continue
-            ddim, sdim = len(mat), len(mat[0]) if mat else 0
-            rk = rank(mat) if sdim and ddim else 0
-            inj = rk == sdim
-            surj = rk == ddim
-            ok = inj and (surj or p + r > lev)
-            report["cells"].append({"r": r, "p": p, "q": q, "injective": inj,
-                                    "surjective": surj, "ok": ok})
-            if not ok:
-                report["ok"] = False
-    return report
 
 
 def page_map(src_ftc, dst_ftc, fmat, r):

@@ -2,26 +2,59 @@
 ``dgla`` runs on sparse bracket columns.
 
 Every bracket here is read off the exterior-square matrix through
-``PowerMap.eval_tuple`` as a dense vector, every sum is a dense
-``vec_add`` of a ``vec_scale``, and ``d`` is applied through its dense
-matrix; nothing reads ``DgLieAlgebra.bracket_column``, so the tests
-compare two independent evaluations of the same axioms, first failing
-witness included.
+``eval_tuple`` as a dense vector, every sum is a dense ``vec_add`` of a
+``vec_scale``, and ``d`` is applied through its dense matrix; nothing reads
+``DgLieAlgebra.bracket_column``, so the tests compare two independent
+evaluations of the same axioms, first failing witness included.
+
+It also holds the dense helpers the tests build reference data with:
+``eval_tuple`` of a ``PowerMap``, ``identity_map`` and ``compose`` of
+``GradedMap``s, and modules over a dg-Lie algebra beyond the adjoint one
+(``module_via_morphism``, checked by ``validate_module`` through ``act``).
 
 This module is imported by the tests; pytest does not collect it.
 """
 
 from __future__ import annotations
 
-from ceformality.graded import parity_sign
+from ceformality.dgla import DgModule
+from ceformality.graded import GradedMap, parity_sign
 from ceformality.linalg import (
-    Q0, Q1, is_zero_mat, is_zero_vec, mat_mul, vec_add, vec_scale, zero_vec,
+    Q0, Q1, identity, is_zero_mat, is_zero_vec, mat_mul, mat_vec, vec_add,
+    vec_scale, zero_vec, zeros,
 )
+
+
+def eval_tuple(q, tup):
+    """Value of the ``PowerMap`` q on an arbitrary index tuple, as a
+    vector in its target."""
+    sign, canon = q.pb.normalize(tup)
+    out = [Q0] * q.target.dim
+    if sign == 0 or canon not in q.pb._index:
+        return out
+    c = q.pb.index(canon)
+    for r in range(q.target.dim):
+        v = q.matrix[r][c]
+        if v:
+            out[r] = sign * v
+    return out
+
+
+def identity_map(space):
+    return GradedMap(space, space, 0, identity(space.dim))
+
+
+def compose(f, g):
+    """f ∘ g of two ``GradedMap``s."""
+    if g.target is not f.source and g.target != f.source:
+        raise ValueError("composition mismatch")
+    return GradedMap(g.source, f.target, f.degree + g.degree,
+                     mat_mul(f.matrix, g.matrix))
 
 
 def bracket_basis(alg, i, j):
     """[e_i, e_j] as a dense vector."""
-    return alg.bracket.eval_tuple((i, j))
+    return eval_tuple(alg.bracket, (i, j))
 
 
 def bracket_vec(alg, x, y):
@@ -118,3 +151,79 @@ def validate_morphism(f, src, tgt):
                 return {"ok": False,
                         "witness": (src.space.labels[i], src.space.labels[j])}
     return {"ok": True, "witness": None}
+
+
+def act(mod, m_vec, x_vec):
+    """[m, x] in the module ``mod``, through its dense action matrices."""
+    out = zero_vec(mod.space.dim)
+    for j, xj in enumerate(x_vec):
+        if xj:
+            out = vec_add(out, vec_scale(xj, mat_vec(mod.action[j], m_vec)))
+    return out
+
+
+def module_via_morphism(f, src, tgt):
+    """Make the target of a dg-Lie morphism a module over the source via
+    [m, x] = [m, f(x)]."""
+    rep = validate_morphism(f, src, tgt)
+    if not rep["ok"]:
+        raise ValueError(f"not a dg-Lie algebra morphism: {rep['witness']}")
+    mats = []
+    for j in range(src.space.dim):
+        fx = f.apply(_unit(j, src.space.dim))
+        m = zeros(tgt.space.dim, tgt.space.dim)
+        for i in range(tgt.space.dim):
+            col = bracket_vec(tgt, _unit(i, tgt.space.dim), fx)
+            for r in range(tgt.space.dim):
+                m[r][i] = col[r]
+        mats.append(m)
+    return DgModule(src, tgt.space, tgt.differential, mats)
+
+
+def validate_module(mod):
+    """Chain-map and module-axiom checks for a DgModule; list of reports."""
+    L, M = mod.base, mod
+    report = []
+    chain_ok, chain_wit = True, None
+    nl, nm = L.space.dim, M.space.dim
+    for i in range(nm):
+        for j in range(nl):
+            mi, xj = _unit(i, nm), _unit(j, nl)
+            lhs = M.differential.apply(act(M, mi, xj))
+            rhs = vec_add(
+                act(M, M.differential.apply(mi), xj),
+                vec_scale(parity_sign(M.space.degrees[i]),
+                          act(M, mi, L.differential.apply(xj))),
+            )
+            if lhs != rhs:
+                chain_ok = False
+                chain_wit = (M.space.labels[i], L.space.labels[j])
+                break
+        if not chain_ok:
+            break
+    report.append({"axiom": "action_chain_map", "ok": chain_ok,
+                   "witness": chain_wit})
+
+    ax_ok, ax_wit = True, None
+    for i in range(nm):
+        for j in range(nl):
+            for k in range(nl):
+                mi, xj, yk = _unit(i, nm), _unit(j, nl), _unit(k, nl)
+                lhs = act(M, mi, bracket_vec(L, xj, yk))
+                rhs = vec_add(
+                    act(M, act(M, mi, xj), yk),
+                    vec_scale(
+                        -parity_sign(L.space.degrees[j] * L.space.degrees[k]),
+                        act(M, act(M, mi, yk), xj)),
+                )
+                if lhs != rhs:
+                    ax_ok = False
+                    ax_wit = (M.space.labels[i], L.space.labels[j],
+                              L.space.labels[k])
+                    break
+            if not ax_ok:
+                break
+        if not ax_ok:
+            break
+    report.append({"axiom": "module_axiom", "ok": ax_ok, "witness": ax_wit})
+    return report

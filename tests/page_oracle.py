@@ -10,6 +10,13 @@ tests compare two independent constructions of the same cells.
 ``sparse_columns`` turns a dense differential into the columns that
 ``FilteredTotalComplex`` takes.
 
+It also holds the reference checks that compare the engine's pages with
+what they must equal: ``abutment_check`` (E_∞ against the filtration
+induced on the total cohomology), ``quotient_compare`` (pages against the
+pages of the quotient by F^lev) and ``ce_first_page_check`` (E₁ of the
+bicomplex against forms on cohomology).  Each reads the engine's barcode
+on one side and exact linear algebra on the other.
+
 This module is imported by the tests; pytest does not collect it.
 """
 
@@ -17,7 +24,16 @@ from __future__ import annotations
 
 from weakref import WeakKeyDictionary
 
-from ceformality.linalg import Quotient, Subspace, block_kernel, zeros
+from ceformality.cecomplex import build_ce
+from ceformality.dgla import cohomology
+from ceformality.graded import EXTERIOR, GradedVectorSpace, PowerBasis
+from ceformality.linalg import (
+    Q1, Quotient, Subspace, block_kernel, nullspace, rank, vec_add,
+    vec_scale, zero_vec, zeros,
+)
+from ceformality.specseq import (
+    FilteredTotalComplex, barcode, page_map, r_max,
+)
 
 _caches = WeakKeyDictionary()
 
@@ -141,3 +157,143 @@ def page(ftc, r):
     if r not in cache:
         cache[r] = SpectralPage(ftc, r)
     return cache[r]
+
+
+def intersect(a, b):
+    """The subspace a ∩ b, via the kernel of the stacked coefficient
+    system."""
+    if not a.basis or not b.basis:
+        return Subspace(a.ambient)
+    # columns: coefficients on a.basis then on b.basis
+    m = []
+    for i in range(a.ambient):
+        m.append([v[i] for v in a.basis] + [-v[i] for v in b.basis])
+    vecs = []
+    for k in nullspace(m):
+        v = zero_vec(a.ambient)
+        for c, bv in zip(k[: len(a.basis)], a.basis):
+            if c:
+                v = vec_add(v, vec_scale(c, bv))
+        vecs.append(v)
+    return Subspace(a.ambient, vecs)
+
+
+def filtration_subspace(ftc, p):
+    """F^p: the span of the basis vectors of level ≥ p."""
+    vecs = []
+    for i, lev in enumerate(ftc.levels):
+        if lev >= p:
+            e = zero_vec(ftc.space.dim)
+            e[i] = Q1
+            vecs.append(e)
+    return Subspace(ftc.space.dim, vecs)
+
+
+def quotient_by_level(ftc, lev):
+    """The quotient complex by F^lev, with the index map old → new."""
+    keep = [i for i, l in enumerate(ftc.levels) if l < lev]
+    comps = {}
+    for i in keep:
+        comps.setdefault(ftc.space.degrees[i], []).append(
+            ftc.space.labels[i])
+    qspace = GradedVectorSpace(comps)
+    index_map = {i: qspace.index(ftc.space.labels[i]) for i in keep}
+    qcolumns = [{} for _ in range(qspace.dim)]
+    qlevels = [0] * qspace.dim
+    for i in keep:
+        qcolumns[index_map[i]] = {index_map[r]: a
+                                  for r, a in ftc.columns[i].items()
+                                  if r in index_map}
+        qlevels[index_map[i]] = ftc.levels[i]
+    return (FilteredTotalComplex(qspace, qcolumns, qlevels, lev,
+                                 check=False),
+            index_map)
+
+
+def abutment_check(ftc):
+    """Assert dim E_∞^{p,q} equals the graded dimension of the filtration
+    induced on the cohomology of the total complex."""
+    einf = barcode(ftc).dims(r_max(ftc))
+    dim = ftc.space.dim
+    d = ftc.differential.matrix
+    report = {"ok": True, "cells": []}
+    for n in ftc.space.degree_support():
+        below = ftc.space.indices_in_degree(n - 1)
+        z = block_kernel(d, ftc.space.indices_in_degree(n + 1),
+                         ftc.space.indices_in_degree(n), dim)
+        bvecs = []
+        for i in below:
+            e = zero_vec(dim)
+            e[i] = Q1
+            bvecs.append(ftc.apply(e))
+        b = Subspace(dim, bvecs)
+
+        def filt_h_dim(p):
+            zp = intersect(z, filtration_subspace(ftc, p))
+            bp = intersect(b, filtration_subspace(ftc, p))
+            return zp.dim - bp.dim
+
+        for p in range(ftc.length):
+            gr = filt_h_dim(p) - filt_h_dim(p + 1)
+            got = einf[(p, n - p)]
+            report["cells"].append(
+                {"p": p, "q": n - p, "e_inf": got, "gr_h": gr,
+                 "ok": got == gr})
+            if got != gr:
+                report["ok"] = False
+    return report
+
+
+def quotient_compare(ftc, lev):
+    """Compare pages of the complex with pages of its quotient by F^lev.
+
+    The projection induces maps E_r^{p,q} → E(lev)_r^{p,q}; they must be
+    injective for p < lev and surjective when additionally p + r ≤ lev.
+    """
+    qftc, index_map = quotient_by_level(ftc, lev)
+    proj = zeros(qftc.space.dim, ftc.space.dim)
+    for old, new in index_map.items():
+        proj[new][old] = Q1
+    report = {"ok": True, "cells": []}
+    for r in range(0, r_max(ftc) + 1):
+        for (p, q), mat in page_map(ftc, qftc, proj, r).items():
+            if p >= lev:
+                continue
+            ddim, sdim = len(mat), len(mat[0]) if mat else 0
+            rk = rank(mat) if sdim and ddim else 0
+            inj = rk == sdim
+            surj = rk == ddim
+            ok = inj and (surj or p + r > lev)
+            report["cells"].append({"r": r, "p": p, "q": q, "injective": inj,
+                                    "surjective": surj, "ok": ok})
+            if not ok:
+                report["ok"] = False
+    return report
+
+
+def ce_first_page_check(alg, mod, l):
+    """Compare E₁ of the truncated bicomplex against graded dimensions of
+    forms on cohomology with values in cohomology."""
+    ftc = build_ce(alg, mod, l)
+    hl = cohomology(alg.differential).cohomology
+    hm = cohomology(mod.differential).cohomology
+    e1 = barcode(ftc).dims(1)
+    report = {"ok": True, "cells": []}
+    for p in range(l):
+        pb = PowerBasis(hl, EXTERIOR, p)
+        expected = {}
+        for t_pos in range(len(pb)):
+            tdeg = pb.degree(t_pos)
+            for m_idx in range(hm.dim):
+                q = hm.degrees[m_idx] - tdeg
+                expected[q] = expected.get(q, 0) + 1
+        qs = set(expected) | {q for (pp, q) in e1 if pp == p}
+        for q in sorted(qs):
+            got = e1[(p, q)]
+            want = expected.get(q, 0)
+            report["cells"].append(
+                {"p": p, "q": q, "e1_dim": got, "hom_dim": want,
+                 "ok": got == want})
+            if got != want:
+                report["ok"] = False
+    return report

@@ -420,10 +420,24 @@ def test_commands_build_no_dense_total_differential(capsys, monkeypatch):
         built.clear()
 
 
-def test_barcode_fault_is_an_engine_fault(monkeypatch):
-    # a rank disagreement inside the barcode's own check must surface as
-    # an AssertionError, never as exit 1 "invalid input"
+def test_barcode_fault_is_an_engine_fault(capsys, monkeypatch):
+    # a rank disagreement inside the barcode's own check is an engine
+    # fault: exit 70 and one line, never exit 1 "invalid input" and never
+    # a traceback
     from ceformality import specseq
     monkeypatch.setattr(specseq, "sparse_rank", lambda columns: 0)
-    with pytest.raises(AssertionError, match="dim H"):
-        main(["ce-pages", fx("quadcone.json")])
+    code, out, err = run(capsys, "ce-pages", fx("quadcone.json"))
+    assert (code, out) == (70, "")
+    assert err.startswith("engine fault: AssertionError: barcode leaves ")
+    assert "dim H" in err and err.count("\n") == 1
+
+
+def test_memory_error_is_an_engine_fault(capsys, monkeypatch):
+    from ceformality import formality
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(formality, "minimal_model", exhausted)
+    code, out, err = run(capsys, "formality", fx("endu.json"))
+    assert (code, out, err) == (70, "", "engine fault: MemoryError: \n")

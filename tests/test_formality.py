@@ -24,6 +24,7 @@ from ceformality.linf import (
 )
 from ceformality.problems import load_problem, parse_problem
 from ceformality.specseq import FilteredTotalComplex, cell_coordinates
+from dgla_oracle import identity_map
 from test_cli import end_u
 
 F = Fraction
@@ -259,7 +260,7 @@ def test_gauge_reduce_detects_cubic_witness():
 def test_gauge_reduce_quadratic_is_formal():
     res = gauge_reduce(decalage(sl2(), 5))
     assert res["verdict"] == "FormalUpTo"
-    assert res["final"].is_trivial_beyond_q2()
+    assert all(n <= 2 for n in res["final"].taylor)
 
 
 def test_gauge_reduce_recovers_gauged_structure():
@@ -351,7 +352,7 @@ def test_transfer_identity_map_is_injective():
 
 @pytest.mark.parametrize("columns", [4, 5, 6])
 @pytest.mark.parametrize("endo,injective", [
-    (GradedMap.identity_map, True),
+    (identity_map, True),
     (lambda space: GradedMap.zero(space, space, 0), False)],
     ids=["identity", "zero"])
 def test_transfer_on_quadcone_endomorphisms(endo, injective, columns):

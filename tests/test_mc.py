@@ -1,12 +1,13 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from ceformality.dgla import DgLieAlgebra
 from ceformality.formality import formality_verdict
 from ceformality.mc import (
-    TruncatedElement, gauge_act, lift_to_order, mc_check, mc_lift,
-    quadraticity_check,
+    TruncatedElement, _poly_add, _poly_bracket, _poly_d, _poly_scale,
+    lift_to_order, mc_check, mc_lift, quadraticity_check,
 )
 
 F = Fraction
@@ -55,6 +56,31 @@ def test_nonsolution_residual_located():
     res = mc_check(x)
     assert not res["is_solution"]
     assert res["residuals"][0]["t_power"] == 2
+
+
+def gauge_act(a, x):
+    """e^a ∗ x = x + Σ_{n≥0} [a,−]ⁿ/(n+1)! ([a,x] − da), truncated: the
+    exponential gauge action, a reference that no command runs."""
+    if a.degree != 0:
+        raise ValueError("gauge generator must have degree 0")
+    if x.degree != 1:
+        raise ValueError("gauge acts on degree-1 elements")
+    alg = x.alg
+    order = x.order
+    seed = _poly_add(_poly_bracket(alg, a.coefficients, x.coefficients, order),
+                     _poly_scale(_poly_d(alg, a.coefficients), Fraction(-1)))
+    total = dict(x.coefficients)
+    term = seed
+    n = 0
+    while term:
+        total = _poly_add(total, _poly_scale(term, Fraction(
+            1, factorial(n + 1))))
+        term = _poly_bracket(alg, a.coefficients, term, order)
+        # scale bookkeeping: [a,−]^n applied to seed, coefficient 1/(n+1)!
+        n += 1
+        if n > order + 2:
+            break
+    return TruncatedElement(alg, order, total, 1)
 
 
 def test_gauge_action_on_zero_produces_series():

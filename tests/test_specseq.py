@@ -8,16 +8,17 @@ from ceformality import specseq
 from ceformality.cecomplex import (
     CeBicomplex, build_ce, pushforward_matrix,
 )
-from ceformality.dgla import DgLieAlgebra, adjoint_module, module_via_morphism
+from ceformality.dgla import DgLieAlgebra, adjoint_module
 from ceformality.graded import GradedMap, GradedVectorSpace
 from ceformality.linalg import Q1, rank, rref, zeros
 from ceformality.linf import ce_linf_self, decalage
 from ceformality.problems import load_problem
 from ceformality.specseq import (
-    Barcode, FilteredTotalComplex, abutment_check, barcode, cell_coordinates,
-    degenerates_at, page_cell, page_map, quotient_compare, r_max,
+    Barcode, FilteredTotalComplex, barcode, cell_coordinates, degenerates_at,
+    page_cell, page_map, r_max,
 )
-from page_oracle import page, sparse_columns
+from dgla_oracle import identity_map, module_via_morphism
+from page_oracle import abutment_check, page, quotient_compare, sparse_columns
 
 F = Fraction
 
@@ -184,7 +185,7 @@ def test_page_morphisms_commute_with_dr():
         {0: ["a", "c"], 1: ["b"]},
         {"a": [("b", 1)]},
         {("c", "a"): [("a", 1)], ("c", "b"): [("b", 1)]})
-    f = GradedMap.identity_map(L.space)
+    f = identity_map(L.space)
     mod = module_via_morphism(f, L, L)
     ce_ll = CeBicomplex(L, adjoint_module(L), 3)
     ce_lm = CeBicomplex(L, mod, 3)
