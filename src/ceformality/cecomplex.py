@@ -230,22 +230,22 @@ def build_ce(alg, mod, l):
 
 
 def pushforward_matrix(f, ce_src, ce_dst):
-    """Chain map induced by postcomposition with f: L→M.
+    """Chain map induced by postcomposition with f: L→M, as sparse columns
+    {row: entry} on the flat bases, the form of the total differential.
 
     Both arguments are column complexes over the same source with the same
     column bound, the target's columns valued in M: CE(L,L) → CE(L,M) for
     two CeBicomplex instances, or the coderivation complex of the identity
     to the one along f for two LinfCeComplex instances.
     """
-    m = zeros(ce_dst.total.space.dim, ce_src.total.space.dim)
+    cols = [{} for _ in range(ce_src.total.space.dim)]
     for p in range(ce_src.l):
         src, dst = ce_src.columns[p], ce_dst.columns[p]
-        for t_pos in range(len(src.pb)):
-            for m_idx in range(src.target.space.dim):
-                gc = ce_src.global_index(p, src.index(t_pos, m_idx))
-                for r in range(dst.target.space.dim):
-                    c = f.matrix[r][m_idx]
-                    if c:
-                        gr = ce_dst.global_index(p, dst.index(t_pos, r))
-                        m[gr][gc] += c
-    return m
+        for m_idx in range(src.target.space.dim):
+            image = [(r, row[m_idx]) for r, row in enumerate(f.matrix)
+                     if row[m_idx]]
+            for t_pos in range(len(src.pb)):
+                cols[ce_src.global_index(p, src.index(t_pos, m_idx))] = {
+                    ce_dst.global_index(p, dst.index(t_pos, r)): c
+                    for r, c in image}
+    return cols

@@ -10,9 +10,8 @@ from .graded import (
     EXTERIOR, GradedMap, GradedVectorSpace, PowerBasis, PowerMap, parity_sign,
 )
 from .linalg import (
-    Q0, Q1, Subspace, block_kernel, identity, is_zero_mat, mat_add, mat_mul,
-    mat_sub, mat_vec, solve_matrix, transpose, vec_add, vec_scale, zero_vec,
-    zeros,
+    Q0, Q1, Subspace, block_kernel, dense_vec, identity, is_zero_mat, mat_add,
+    mat_mul, mat_sub, solve_matrix, transpose, zero_vec, zeros,
 )
 
 
@@ -239,29 +238,22 @@ def cohomology(d):
         zero = GradedMap.zero
         return Contraction(d, h, zero(h, v, 0), zero(v, h, 0), zero(v, v, -1))
 
-    def unit(i):
-        return [Q1 if t == i else Q0 for t in range(v.dim)]
-
-    # per-degree kernels and chosen complements of the kernel
+    # per-degree kernels and chosen complements of the kernel: the unit
+    # vectors e_i, i ∈ w_index[k], outside the kernel's span
     kernel = {}
-    w_basis = {}
+    w_index = {}
     for k in degs:
         idx = v.indices_in_degree(k)
         kernel[k] = block_kernel(dmat, v.indices_in_degree(k + 1), idx, v.dim)
         span = Subspace(v.dim, kernel[k].basis)
-        w_basis[k] = [e for e in map(unit, idx) if span.extend(e)]
+        w_index[k] = [i for i in idx if span.extend({i: Q1})]
 
-    # image basis paired with preimages, cohomology representatives
-    b_basis = {k: [] for k in degs + [max(degs) + 1]}
-    b_preimage = {k: [] for k in degs + [max(degs) + 1]}
-    for k in degs:
-        for w in w_basis[k]:
-            b_basis[k + 1].append(mat_vec(dmat, w))
-            b_preimage[k + 1].append(w)
-
+    # image basis d e_i, i ∈ w_index[k − 1], and cohomology representatives
+    b_basis = {k: [{r: row[i] for r, row in enumerate(dmat) if row[i]}
+                   for i in w_index.get(k - 1, [])] for k in degs}
     h_reps = {}
     for k in degs:
-        span = Subspace(v.dim, b_basis.get(k, []))
+        span = Subspace(v.dim, b_basis[k])
         h_reps[k] = [z for z in kernel[k].basis if span.extend(z)]
 
     hcomps = {k: [f"h{k}_{t}" for t in range(len(h_reps[k]))]
@@ -272,46 +264,35 @@ def cohomology(d):
     col = 0
     for k in sorted(hcomps):
         for rep in h_reps[k]:
-            for r in range(v.dim):
-                i_mat[r][col] = rep[r]
+            for r, x in rep.items():
+                i_mat[r][col] = x
             col += 1
 
     # decompose each degree-k unit vector in the basis B ∪ H ∪ W
     p_mat = zeros(hspace.dim, v.dim)
     h_mat = zeros(v.dim, v.dim)
     for k in degs:
-        cols = b_basis.get(k, []) + h_reps[k] + w_basis[k]
+        cols = b_basis[k] + h_reps[k] + [{i: Q1} for i in w_index[k]]
         if not cols:
             continue
         idx = v.indices_in_degree(k)
-        coords = solve_matrix(transpose(cols),
-                              transpose([unit(i) for i in idx]))
-        nb, nh = len(b_basis.get(k, [])), len(h_reps[k])
-        hoffset = hspace.dim and _h_offset(hspace, k)
+        coords = solve_matrix(
+            transpose([dense_vec(c, v.dim) for c in cols]),
+            [[Q1 if r == i else Q0 for i in idx] for r in range(v.dim)])
+        nb, nh = len(b_basis[k]), len(h_reps[k])
+        hoffset = hspace.degrees.index(k) if nh else 0
         for j, i in enumerate(idx):
             # projection reads off the H-block coordinates
             for t in range(nh):
                 p_mat[hoffset + t][i] = coords[nb + t][j]
             # homotopy inverts d on the B-block, with a sign
-            hv = zero_vec(v.dim)
-            for t in range(nb):
-                if coords[t][j]:
-                    hv = vec_add(hv, vec_scale(-coords[t][j],
-                                               b_preimage[k][t]))
-            for r in range(v.dim):
-                h_mat[r][i] = hv[r]
+            for t, pre in enumerate(w_index.get(k - 1, [])):
+                h_mat[pre][i] = -coords[t][j]
 
     inc = GradedMap(hspace, v, 0, i_mat)
     proj = GradedMap(v, hspace, 0, p_mat)
     htpy = GradedMap(v, v, -1, h_mat)
     return Contraction(d, hspace, inc, proj, htpy)
-
-
-def _h_offset(hspace, k):
-    for i, d in enumerate(hspace.degrees):
-        if d == k:
-            return i
-    return 0
 
 
 def cohomology_lie(alg):

@@ -9,8 +9,8 @@ from .cecomplex import pushforward_matrix
 from .dgla import DgLieAlgebra, cohomology, cohomology_lie, validate_morphism
 from .graded import GradedMap, PowerMap
 from .linalg import (
-    Q1, mat_add, mat_mul, mat_sub, rank, solve, solve_right, zero_vec,
-    zeros,
+    Q1, _axpy, mat_add, mat_mul, mat_sub, rank, solve, solve_right,
+    zero_vec, zeros,
 )
 from .linf import (
     InsufficientBounds, LInfinityAlgebra, LInfinityMorphism, LinfCeComplex,
@@ -30,11 +30,9 @@ def euler_power_map(alg):
 
 
 def _euler_vector(ce, alg):
-    vec = zero_vec(ce.total.space.dim)
-    for i in range(alg.space.dim):
-        vec[ce.global_index(1, ce.columns[1].index(i, i))] = \
-            Q1 * (alg.space.degrees[i] + 1)
-    return vec
+    """v ↦ (v̄+1)v as a sparse vector of the coderivation complex."""
+    return {ce.global_index(1, ce.columns[1].index(i, i)): Q1 * (deg + 1)
+            for i, deg in enumerate(alg.space.degrees) if deg != -1}
 
 
 def euler_class(obj, l):
@@ -78,17 +76,16 @@ def _correct_representative(ftc, rep, p, r):
     """Subtract w ∈ F^{p+1} with d(rep − w) ∈ F^{p+r+1}: d rep is cleared
     below level p+r+1 in pivot order by the barcode's V_y, y ∈ F^{p+1}."""
     bc, levels = barcode(ftc), ftc.levels
-    rep, drep = list(rep), ftc.apply(rep)
-    rows = sorted((i for i in range(len(rep)) if levels[i] <= p + r),
+    rep, drep = dict(rep), ftc.apply(rep)
+    rows = sorted((i for i, lev in enumerate(levels) if lev <= p + r),
                   key=lambda i: (levels[i], -i))
     for low in rows:
         y = bc.owner.get(low)
-        if drep[low] and y is not None and levels[y] > p:
+        if low in drep and y is not None and levels[y] > p:
             f = drep[low] / bc.reduced[y][low]
-            for vec, col in ((drep, bc.reduced[y]), (rep, bc.combination[y])):
-                for i, x in col.items():
-                    vec[i] -= f * x
-    if any(drep[i] for i in rows):
+            _axpy(drep, -f, bc.reduced[y])
+            _axpy(rep, -f, bc.combination[y])
+    if any(levels[i] <= p + r for i in drep):
         raise AssertionError("page class vanished but no correction exists")
     return rep
 

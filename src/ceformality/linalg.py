@@ -3,6 +3,9 @@
 All arithmetic uses fractions.Fraction; nothing here ever rounds.  Each echelon
 basis is the unique reduced one of its row space, built by the one elimination
 loop ``Subspace.extend``, so bases and representatives are reproducible.
+Subspaces, quotients and the spectral pages hold sparse vectors
+{index: entry}, updated only by ``_axpy``; the dense entry points (``rref``,
+the solves, ``nullspace``, ``block_kernel``) convert at their boundary.
 """
 
 from __future__ import annotations
@@ -106,8 +109,9 @@ def rref(a):
     full reduction above and below.
     """
     cols = len(a[0]) if a else 0
-    s = Subspace(cols, a)
-    return s.basis + [zero_vec(cols) for _ in range(len(a) - s.dim)], s.pivots
+    s = Subspace(cols, map(sparse_vec, a))
+    return ([dense_vec(row, cols) for row in s.basis]
+            + [zero_vec(cols) for _ in range(len(a) - s.dim)], s.pivots)
 
 
 def rank(a):
@@ -173,18 +177,45 @@ def block_kernel(a, rows, cols, ambient):
     """Kernel of the block of ``a`` on ``rows`` × ``cols`` as a subspace of
     Q^ambient, its vectors scattered back to the positions ``cols``."""
     block = [[a[r][c] for c in cols] for r in rows] or [[Q0] * len(cols)]
-    vecs = []
-    for ker in nullspace(block):
-        full = zero_vec(ambient)
-        for pos, x in zip(cols, ker):
-            full[pos] = x
-        vecs.append(full)
-    return Subspace(ambient, vecs)
+    return Subspace(ambient, ({pos: x for pos, x in zip(cols, ker) if x}
+                              for ker in nullspace(block)))
+
+
+# -- sparse vectors: {index: entry} over the nonzero entries only ----------
+
+def sparse_vec(v):
+    """The nonzero entries of a dense vector."""
+    return {i: x for i, x in enumerate(v) if x}
+
+
+def dense_vec(v, n):
+    """The dense vector of length n with the entries of a sparse one."""
+    out = [Q0] * n
+    for i, x in v.items():
+        out[i] = x
+    return out
+
+
+def _axpy(u, a, v):
+    """u += a·v on sparse vectors, dropping zeros: the one sparse update."""
+    for i, x in v.items():
+        w = u.get(i, 0) + a * x
+        if w:
+            u[i] = w
+        else:
+            u.pop(i, None)
+
+
+def apply_columns(columns, v):
+    """Σ v[x]·columns[x] for a map given as sparse columns and a sparse v."""
+    out = {}
+    for x, a in v.items():
+        _axpy(out, a, columns[x])
+    return out
 
 
 class Subspace:
-    """A subspace of Q^n, stored with a cached reduced echelon basis and the
-    nonzero positions of each basis row.
+    """A subspace of Q^n, stored as its reduced echelon basis of sparse rows.
 
     ``extend`` is the one elimination loop: every echelon basis, and so
     every ``rref``, solve and kernel, is built by it.  Basis rows are never
@@ -193,71 +224,58 @@ class Subspace:
 
     def __init__(self, ambient, vectors=()):
         self.ambient = ambient
-        self.basis, self.pivots, self._supports = [], [], []
+        self.basis, self.pivots = [], []
         for v in vectors:
-            if len(v) != ambient:
-                raise ValueError("vector length does not match ambient dimension")
             self.extend(v)
 
     @property
     def dim(self):
         return len(self.basis)
 
-    def _eliminate(self, v):
-        """(residual, coefficients) of v against the echelon basis, reading
-        only the nonzero positions of each basis row."""
-        w = list(v)
-        coeffs = []
-        for row, pc, support in zip(self.basis, self.pivots, self._supports):
-            f = w[pc]
-            coeffs.append(f)
-            if f:
-                for j in support:
-                    w[j] -= f * row[j]
-        return w, coeffs
-
     def reduce(self, v):
-        """Residual of v after reduction against the echelon basis."""
-        return self._eliminate(v)[0]
+        """Residual of v after reduction against the echelon basis.  Each
+        row is 1 at its own pivot and 0 at every other, so row i's
+        coefficient is v[pivot_i], read off v itself."""
+        w = dict(v)
+        for row, pc in zip(self.basis, self.pivots):
+            f = v.get(pc)
+            if f:
+                _axpy(w, -f, row)
+        return w
 
     def contains(self, v):
-        return is_zero_vec(self.reduce(v))
+        return not self.reduce(v)
 
     def extend(self, v):
         """Insert v into the reduced echelon basis; True when the span
         grew.  The basis then equals that of
         ``Subspace(ambient, old basis + [v])``."""
         w = self.reduce(v)
-        support = [j for j, x in enumerate(w) if x]
-        if not support:
+        if not w:
             return False
-        c = support[0]
+        c = min(w)
         pv = w[c]
         if pv != 1:
             inv = Q1 / pv
-            for j in support:
+            for j in w:
                 w[j] *= inv
-        # clear column c from the other rows, over the new row's support
+        # clear column c from the other rows
         for i, row in enumerate(self.basis):
-            f = row[c]
+            f = row.get(c)
             if f:
-                row = row[:]
-                for j in support:
-                    row[j] -= f * w[j]
+                row = dict(row)
+                _axpy(row, -f, w)
                 self.basis[i] = row
-                self._supports[i] = [
-                    j for j in sorted(set(self._supports[i]).union(support))
-                    if row[j]]
         k = bisect_left(self.pivots, c)
         self.basis.insert(k, w)
         self.pivots.insert(k, c)
-        self._supports.insert(k, support)
         return True
 
     def coordinates(self, v):
         """Coefficients of v on the echelon basis, or None if v is outside."""
-        w, coeffs = self._eliminate(v)
-        return coeffs if is_zero_vec(w) else None
+        if self.reduce(v):
+            return None
+        return [v.get(pc, Q0) for pc in self.pivots]
 
 
 class Quotient:
@@ -273,7 +291,7 @@ class Quotient:
 
     def __init__(self, z: Subspace, b: Subspace):
         if z.ambient != b.ambient:
-            raise ValueError("ambient dimensions differ")
+            raise AssertionError("ambient dimensions differ")
         self.z = z
         span = Subspace(z.ambient, b.basis)
         self.reps = [v for v in z.basis if span.extend(v)]
@@ -283,7 +301,7 @@ class Quotient:
         # as coordinates; invert the square matrix of B's basis and the
         # representatives there, keeping the representatives' rows.
         cols = b.basis + self.reps
-        square = [[v[pc] for v in cols] for pc in z.pivots]
+        square = [[v.get(pc, Q0) for v in cols] for pc in z.pivots]
         self._coord_map = solve_matrix(square, identity(z.dim))[b.dim:]
 
     @property
@@ -294,5 +312,6 @@ class Quotient:
         """Quotient coordinates of v ∈ Z; raises if v lies outside Z."""
         zc = self.z.coordinates(v)
         if zc is None:
-            raise ValueError("vector outside the subspace being quotiented")
+            raise AssertionError(
+                "vector outside the subspace being quotiented")
         return mat_vec(self._coord_map, zc)

@@ -9,9 +9,7 @@ from collections import Counter
 from math import inf
 
 from .graded import GradedMap
-from .linalg import (
-    Q1, Quotient, Subspace, is_zero_vec, mat_vec, zero_vec, zeros,
-)
+from .linalg import Q1, Quotient, Subspace, _axpy, apply_columns, zeros
 
 
 class FilteredTotalComplex:
@@ -63,13 +61,8 @@ class FilteredTotalComplex:
         return self._differential
 
     def apply(self, v):
-        """d v for a dense vector v, through the columns of its support."""
-        out = zero_vec(self.space.dim)
-        for x, a in enumerate(v):
-            if a:
-                for r, y in self.columns[x].items():
-                    out[r] += a * y
-        return out
+        """d v for a sparse vector v, through the columns of its support."""
+        return apply_columns(self.columns, v)
 
     def block(self, rows, cols):
         """The dense block of d on the flat indices ``rows`` × ``cols``."""
@@ -104,12 +97,12 @@ def page_cell(ftc, r, p, q):
 
 
 def cell_coordinates(ftc, r, p, q, vec):
-    """Coordinates of the class of the r-cycle ``vec`` in E_r^{p,q}
-    (empty when the cell is zero)."""
+    """Coordinates of the class of the r-cycle ``vec``, a sparse vector, in
+    E_r^{p,q} (empty when the cell is zero)."""
     cell = page_cell(ftc, r, p, q)
     z = cell["z"] if cell else barcode(ftc).cycles(p, q + p, r)
     if not z.contains(vec):
-        raise ValueError("vector is not an r-cycle at this cell")
+        raise AssertionError("vector is not an r-cycle at this cell")
     return cell["quot"].coordinates(vec) if cell else []
 
 
@@ -202,8 +195,8 @@ class Barcode:
 
     def cycles(self, p, n, r):
         """Z_r^{p,n−p} = {v ∈ F^p of degree n with dv ∈ F^{p+r}}."""
-        return self._span(self.combination[x]
-                          for x in self._generators(p, n, r))
+        return Subspace(self.ftc.space.dim, (
+            self.combination[x] for x in self._generators(p, n, r)))
 
     def boundaries(self, p, n, r):
         """B_r^{p,n−p} = Z_{r−1}^{p+1} + d Z_{r−1}^{p−r+1}, where d V_x is
@@ -212,27 +205,7 @@ class Barcode:
                  for x in self._generators(p + 1, n, r - 1)]
         images = [self.reduced[x]
                   for x in self._generators(p - r + 1, n - 1, r - 1)]
-        return self._span(below + [v for v in images if v])
-
-    def _span(self, vectors):
-        dim = self.ftc.space.dim
-        rows = []
-        for v in vectors:
-            row = zero_vec(dim)
-            for i, x in v.items():
-                row[i] = x
-            rows.append(row)
-        return Subspace(dim, rows)
-
-
-def _axpy(u, a, v):
-    """u += a·v on sparse vectors {index: entry}, dropping zeros."""
-    for i, x in v.items():
-        w = u.get(i, 0) + a * x
-        if w:
-            u[i] = w
-        else:
-            u.pop(i, None)
+        return Subspace(self.ftc.space.dim, below + images)
 
 
 def sparse_rank(columns):
@@ -275,10 +248,10 @@ def degenerates_at(ftc, k, cell=None):
     return True, None
 
 
-def page_map(src_ftc, dst_ftc, fmat, r):
-    """Matrices induced on page r by a filtered chain map given as a matrix
-    on the flat bases, over the cells nonzero at either end.  Returns
-    {(p, q): matrix}."""
+def page_map(src_ftc, dst_ftc, fcols, r):
+    """Matrices induced on page r by a filtered chain map given as sparse
+    columns on the flat bases, as d is, over the cells nonzero at either
+    end.  Returns {(p, q): matrix}."""
     out = {}
     cells = set(barcode(src_ftc).dims(r)) | set(barcode(dst_ftc).dims(r))
     for (p, q) in sorted(cells):
@@ -287,14 +260,14 @@ def page_map(src_ftc, dst_ftc, fmat, r):
         reps = src["quot"].reps if src else []
         mat = zeros(dst["quot"].dim if dst else 0, len(reps))
         for c, rep in enumerate(reps):
-            img = mat_vec(fmat, rep)
+            img = apply_columns(fcols, rep)
             if dst:
                 coords = cell_coordinates(dst_ftc, r, p, q, img)
                 for rr, val in enumerate(coords):
                     mat[rr][c] = val
-            elif not is_zero_vec(img) and not barcode(dst_ftc).boundaries(
+            elif img and not barcode(dst_ftc).boundaries(
                     p, q + p, r).contains(img):
                 # target cell collapsed; the image class must vanish there
-                raise ValueError("map does not respect cycle spaces")
+                raise AssertionError("map does not respect cycle spaces")
         out[(p, q)] = mat
     return out

@@ -28,8 +28,8 @@ from ceformality.cecomplex import build_ce
 from ceformality.dgla import cohomology
 from ceformality.graded import EXTERIOR, GradedVectorSpace, PowerBasis
 from ceformality.linalg import (
-    Q1, Quotient, Subspace, block_kernel, nullspace, rank, vec_add,
-    vec_scale, zero_vec, zeros,
+    Q1, Quotient, Subspace, block_kernel, dense_vec, nullspace, rank,
+    sparse_vec, vec_add, vec_scale, zero_vec, zeros,
 )
 from ceformality.specseq import (
     FilteredTotalComplex, barcode, page_map, r_max,
@@ -59,6 +59,13 @@ def cycle_space(ftc, p, n, r):
     return cache[key]
 
 
+def apply_dense(ftc, v):
+    """d v for a sparse v, through the dense matrix of d rather than the
+    columns the engine reads."""
+    dim = ftc.space.dim
+    return sparse_vec(ftc.differential.apply(dense_vec(v, dim)))
+
+
 def boundary_space(ftc, p, n, r):
     """B_r at (p, n-p): Z_{r-1} one level deeper plus d(Z_{r-1} one column
     left)."""
@@ -67,7 +74,7 @@ def boundary_space(ftc, p, n, r):
     if key not in cache:
         below = cycle_space(ftc, p + 1, n, r - 1)
         dz_src = cycle_space(ftc, p - r + 1, n - 1, r - 1)
-        images = [ftc.differential.apply(v) for v in dz_src.basis]
+        images = [apply_dense(ftc, v) for v in dz_src.basis]
         cache[key] = Subspace(ftc.space.dim, below.basis + images)
     return cache[key]
 
@@ -106,7 +113,7 @@ class SpectralPage:
             tgt = self.cells.get((p + r, q - r + 1))
             mat = zeros(tgt["quot"].dim if tgt else 0, cell["quot"].dim)
             for c, rep in enumerate(cell["quot"].reps):
-                dv = ftc.differential.apply(rep)
+                dv = apply_dense(ftc, rep)
                 if tgt is None:
                     b = boundary_space(ftc, p + r, q + p + 1, r)
                     if not b.contains(dv):
@@ -164,29 +171,27 @@ def intersect(a, b):
     system."""
     if not a.basis or not b.basis:
         return Subspace(a.ambient)
+    a_rows = [dense_vec(v, a.ambient) for v in a.basis]
+    b_rows = [dense_vec(v, b.ambient) for v in b.basis]
     # columns: coefficients on a.basis then on b.basis
     m = []
     for i in range(a.ambient):
-        m.append([v[i] for v in a.basis] + [-v[i] for v in b.basis])
+        m.append([v[i] for v in a_rows] + [-v[i] for v in b_rows])
     vecs = []
     for k in nullspace(m):
         v = zero_vec(a.ambient)
-        for c, bv in zip(k[: len(a.basis)], a.basis):
+        for c, av in zip(k[: len(a_rows)], a_rows):
             if c:
-                v = vec_add(v, vec_scale(c, bv))
-        vecs.append(v)
+                v = vec_add(v, vec_scale(c, av))
+        vecs.append(sparse_vec(v))
     return Subspace(a.ambient, vecs)
 
 
 def filtration_subspace(ftc, p):
     """F^p: the span of the basis vectors of level ≥ p."""
-    vecs = []
-    for i, lev in enumerate(ftc.levels):
-        if lev >= p:
-            e = zero_vec(ftc.space.dim)
-            e[i] = Q1
-            vecs.append(e)
-    return Subspace(ftc.space.dim, vecs)
+    return Subspace(ftc.space.dim, ({i: Q1}
+                                    for i, lev in enumerate(ftc.levels)
+                                    if lev >= p))
 
 
 def quotient_by_level(ftc, lev):
@@ -221,12 +226,7 @@ def abutment_check(ftc):
         below = ftc.space.indices_in_degree(n - 1)
         z = block_kernel(d, ftc.space.indices_in_degree(n + 1),
                          ftc.space.indices_in_degree(n), dim)
-        bvecs = []
-        for i in below:
-            e = zero_vec(dim)
-            e[i] = Q1
-            bvecs.append(ftc.apply(e))
-        b = Subspace(dim, bvecs)
+        b = Subspace(dim, (ftc.apply({i: Q1}) for i in below))
 
         def filt_h_dim(p):
             zp = intersect(z, filtration_subspace(ftc, p))
@@ -251,9 +251,9 @@ def quotient_compare(ftc, lev):
     injective for p < lev and surjective when additionally p + r ≤ lev.
     """
     qftc, index_map = quotient_by_level(ftc, lev)
-    proj = zeros(qftc.space.dim, ftc.space.dim)
+    proj = [{} for _ in range(ftc.space.dim)]
     for old, new in index_map.items():
-        proj[new][old] = Q1
+        proj[old] = {new: Q1}
     report = {"ok": True, "cells": []}
     for r in range(0, r_max(ftc) + 1):
         for (p, q), mat in page_map(ftc, qftc, proj, r).items():

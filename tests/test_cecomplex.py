@@ -5,14 +5,14 @@ from types import SimpleNamespace
 import pytest
 
 from ceformality.cecomplex import (
-    CeBicomplex, ColumnComplex, HomColumn, build_ce, ce_delta_bar_on,
-    ce_delta_on, form_column, pushforward_matrix,
+    CeBicomplex, ColumnComplex, build_ce, ce_delta_bar_on, ce_delta_on,
+    form_column, pushforward_matrix,
 )
 from ceformality.cli import _algebra
 from ceformality.dgla import DgLieAlgebra, adjoint_module
 from ceformality.graded import GradedMap, GradedVectorSpace
 from ceformality.linalg import (
-    Q1, is_zero_mat, mat_mul, mat_vec, zero_vec, zeros,
+    Q0, Q1, is_zero_mat, mat_mul, mat_vec, zero_vec, zeros,
 )
 from ceformality.linf import (
     LInfinityMorphism, LinfCeComplex, ce_linf_self, decalage, linf_structure,
@@ -238,7 +238,9 @@ def test_pushforward_is_a_filtered_chain_map():
             LInfinityMorphism.from_linear(dec_l, dec_ab, proj.matrix), 3)),
     ]
     for g, src, dst in cases:
-        push = pushforward_matrix(g, src, dst)
+        cols = pushforward_matrix(g, src, dst)
+        push = [[col.get(r, Q0) for col in cols]
+                for r in range(dst.total.space.dim)]
         assert mat_mul(push, src.total.differential.matrix) == \
             mat_mul(dst.total.differential.matrix, push)
 

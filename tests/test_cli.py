@@ -432,6 +432,18 @@ def test_barcode_fault_is_an_engine_fault(capsys, monkeypatch):
     assert "dim H" in err and err.count("\n") == 1
 
 
+def test_page_cell_fault_is_an_engine_fault(capsys, monkeypatch):
+    # an r-cycle that its cell's quotient cannot place is an engine fault
+    # too: voronov5's d_2 class lands in a nonzero cell, whose coordinates
+    # are read through the cycle space's echelon coordinates
+    from ceformality import linalg
+    monkeypatch.setattr(linalg.Subspace, "coordinates", lambda self, v: None)
+    code, out, err = run(capsys, "obstructions", fx("voronov5.json"))
+    assert (code, out) == (70, "")
+    assert err == ("engine fault: AssertionError: vector outside the "
+                   "subspace being quotiented\n")
+
+
 def test_memory_error_is_an_engine_fault(capsys, monkeypatch):
     from ceformality import formality
 

@@ -6,7 +6,11 @@ referenced by name outside its own body, in ``src/ceformality`` or in
 only tests call belongs beside them (``tests/*_oracle.py``).  A name is a
 reference wherever it is read as a variable or an attribute, so this is a
 conservative guard: a dead method that shares its name with a live one
-passes."""
+passes.
+
+Every name imported in ``src/ceformality/*.py`` and ``tests/*.py`` must also
+be read in its own file; ``from __future__`` imports and the package's
+``__init__.py``, whose imports are its exports, are exempt."""
 
 import ast
 import glob
@@ -74,3 +78,32 @@ def test_the_guard_sees_a_helper_only_tests_call():
         "def mc_check(x):\n    return x\n\n\n"
         "def gauge_act(a, x):\n    return gauge_act(a, mc_check(x))\n")}
     assert unreferenced(src, {}) == ["mc.gauge_act"]
+
+
+def unread_imports(tree):
+    """The names a module imports and never reads, sorted."""
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or \
+                isinstance(node, ast.ImportFrom) and \
+                node.module != "__future__":
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+def test_every_import_is_read_in_its_own_file():
+    trees = {**_trees("src/ceformality/*.py"), **_trees("tests/*.py")}
+    unread = {os.path.relpath(path, ROOT): unread_imports(tree)
+              for path, tree in trees.items()
+              if os.path.basename(path) != "__init__.py"}
+    assert {path: names for path, names in unread.items() if names} == {}
+
+
+def test_the_import_guard_sees_an_unread_import():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import json\nimport os.path\n"
+                     "from fractions import Fraction, gcd as g\n\n"
+                     "print(os.sep, g)\n")
+    assert unread_imports(tree) == ["Fraction", "json"]

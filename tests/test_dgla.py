@@ -9,7 +9,7 @@ from ceformality.dgla import (
     validate_dgla, validate_morphism,
 )
 from ceformality.graded import GradedMap, GradedVectorSpace
-from ceformality.linalg import is_zero_mat, mat_mul
+from ceformality.linalg import is_zero_mat
 from ceformality.problems import load_problem, parse_problem
 from dgla_oracle import bracket_vec as dense_bracket_vec
 from dgla_oracle import validate_dgla as dense_validate_dgla

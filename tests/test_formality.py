@@ -7,16 +7,16 @@ import pytest
 
 from ceformality import formality, specseq
 from ceformality.cli import _algebra
-from ceformality.dgla import DgLieAlgebra, cohomology_lie
+from ceformality.dgla import DgLieAlgebra
 from ceformality.formality import (
     InsufficientBounds, euler_class, euler_power_map, formality_verdict,
     gauge_reduce, kaledin_class, minimal_model, obstruction_sequence,
     transfer_criterion,
 )
-from ceformality.graded import (
-    GradedMap, GradedVectorSpace, PowerBasis, PowerMap, SYMMETRIC,
+from ceformality.graded import GradedMap, GradedVectorSpace, PowerMap
+from ceformality.linalg import (
+    Q0, Q1, _axpy, dense_vec, solve, sparse_vec, zero_vec, zeros,
 )
-from ceformality.linalg import Q0, Q1, solve, zero_vec, zeros
 from ceformality.linf import (
     LInfinityAlgebra, ce_linf_self, decalage, derived_brackets,
     exp_coderivation, linf_structure, nr_bracket, validate_linf,
@@ -132,19 +132,19 @@ def solve_correction(ftc, rep, p, r):
     if not rows:
         return rep
     a = ftc.block(rows, cols)
-    b = [drep[i] for i in rows]
+    b = [drep.get(i, Q0) for i in rows]
     sol = solve(a, b)
     if sol is None:
         raise AssertionError("page class vanished but no correction exists")
-    w = zero_vec(ftc.space.dim)
+    out = dense_vec(rep, ftc.space.dim)
     for k, j in enumerate(cols):
-        w[j] = sol[k]
-    return [x - y for x, y in zip(rep, w)]
+        out[j] -= sol[k]
+    return sparse_vec(out)
 
 
 def in_filtration(ftc, vec, p):
-    """vec ∈ F^p."""
-    return not any(x for x, lev in zip(vec, ftc.levels) if lev < p)
+    """The sparse vector vec lies in F^p."""
+    return all(ftc.levels[i] >= p for i in vec)
 
 
 def fixture_structure(name, weight):
@@ -192,8 +192,9 @@ def test_corrections_from_the_barcode_equal_the_solve_reference(
         new = formality._correct_representative(ftc, rep, p, r)
         for out in (new, solve_correction(ftc, rep, p, r)):
             assert in_filtration(ftc, ftc.apply(out), p + r + 1), r
-            assert in_filtration(ftc, [x - y for x, y in zip(rep, out)],
-                                 p + 1), r
+            diff = dict(rep)
+            _axpy(diff, -Q1, out)
+            assert in_filtration(ftc, diff, p + 1), r
         changed |= new != rep
         rep = new
     assert changed == case.startswith("gauged")
@@ -213,7 +214,7 @@ def test_correction_of_a_nonvanishing_class_is_an_engine_fault():
     # and Voronov's Euler vector, whose d_2 class is the witness
     alg = voronov_derived(3, n=3)
     ce = ce_linf_self(alg, 4)
-    for ftc, rep in ((hand, [Q1, Q0]),
+    for ftc, rep in ((hand, {0: Q1}),
                      (ce.total, formality._euler_vector(ce, alg))):
         for correct in (formality._correct_representative, solve_correction):
             with pytest.raises(AssertionError, match="no correction exists"):

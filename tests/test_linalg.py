@@ -4,12 +4,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ceformality.linalg import (
-    Quotient, Subspace, identity, mat_mul, mat_vec, nullspace, rank,
-    rref, solve, solve_matrix, solve_right, transpose,
+    Quotient, Subspace, dense_vec, identity, mat_mul, mat_vec, nullspace,
+    rank, rref, solve, solve_matrix, solve_right, sparse_vec, transpose,
 )
 from page_oracle import intersect
 
 F = Fraction
+
+
+def subspace(n, vecs):
+    """The span of dense vectors, handed to ``Subspace`` as sparse ones."""
+    return Subspace(n, map(sparse_vec, vecs))
+
+
+def dense_basis(s):
+    return [dense_vec(row, s.ambient) for row in s.basis]
 
 
 def test_rref_simple():
@@ -64,29 +73,29 @@ def test_nullspace_basis():
 
 
 def test_subspace_membership_and_coordinates():
-    s = Subspace(3, [[F(1), F(0), F(1)], [F(0), F(1), F(1)]])
-    assert s.contains([F(1), F(1), F(2)])
-    assert not s.contains([F(1), F(0), F(0)])
-    coords = s.coordinates([F(2), F(-1), F(1)])
+    s = subspace(3, [[F(1), F(0), F(1)], [F(0), F(1), F(1)]])
+    assert s.contains({0: F(1), 1: F(1), 2: F(2)})
+    assert not s.contains({0: F(1)})
+    coords = s.coordinates({0: F(2), 1: F(-1), 2: F(1)})
     assert coords == [F(2), F(-1)]
 
 
 def test_subspace_sum_intersect():
-    a = Subspace(3, [[F(1), F(0), F(0)], [F(0), F(1), F(0)]])
-    b = Subspace(3, [[F(0), F(1), F(0)], [F(0), F(0), F(1)]])
+    a = subspace(3, [[F(1), F(0), F(0)], [F(0), F(1), F(0)]])
+    b = subspace(3, [[F(0), F(1), F(0)], [F(0), F(0), F(1)]])
     i = intersect(a, b)
     assert i.dim == 1
-    assert i.contains([F(0), F(1), F(0)])
+    assert i.contains({1: F(1)})
 
 
 def test_quotient_coordinates():
-    z = Subspace(3, [[F(1), F(0), F(0)], [F(0), F(1), F(0)]])
-    b = Subspace(3, [[F(1), F(0), F(0)]])
+    z = subspace(3, [[F(1), F(0), F(0)], [F(0), F(1), F(0)]])
+    b = subspace(3, [[F(1), F(0), F(0)]])
     q = Quotient(z, b)
     assert q.dim == 1
-    assert all(c == 0 for c in q.coordinates([F(7), F(0), F(0)]))
-    assert not all(c == 0 for c in q.coordinates([F(0), F(1), F(0)]))
-    c = q.coordinates([F(3), F(2), F(0)])
+    assert all(c == 0 for c in q.coordinates({0: F(7)}))
+    assert not all(c == 0 for c in q.coordinates({1: F(1)}))
+    c = q.coordinates({0: F(3), 1: F(2)})
     assert len(c) == 1 and c[0] == F(2)
 
 
@@ -177,9 +186,9 @@ def solve_reference(a, b):
 
 def quotient_reps_reference(z, b):
     """Representatives by re-eliminating the span for every candidate."""
-    span = list(b.basis)
+    span = dense_basis(b)
     reps = []
-    for v in z.basis:
+    for v in dense_basis(z):
         if len(gauss_jordan(span + [v])[1]) > len(gauss_jordan(span)[1]):
             reps.append(v)
             span.append(v)
@@ -188,12 +197,12 @@ def quotient_reps_reference(z, b):
 
 @given(vectors(4, 4), vectors(4, 5))
 def test_extend_equals_rebuild(seed, extra):
-    s = Subspace(4, seed)
+    s = subspace(4, seed)
     for v in extra:
-        basis, pivots = echelon_reference(s.basis + [v])
+        basis, pivots = echelon_reference(dense_basis(s) + [v])
         grew = len(pivots) > s.dim
-        assert s.extend(v) == grew
-        assert s.basis == basis and s.pivots == pivots
+        assert s.extend(sparse_vec(v)) == grew
+        assert dense_basis(s) == basis and s.pivots == pivots
 
 
 mixed_entries = st.one_of(st.just(0), st.integers(-4, 4), small_fracs)
@@ -225,17 +234,23 @@ def test_rref_and_subspace_equal_gauss_jordan(shape):
     r, pivots = rref(a)
     assert (r, pivots) == gauss_jordan(a)
     assert not any(type(x) is float for row in r for x in row)
-    s = Subspace(cols, a)
-    assert (s.basis, s.pivots) == echelon_reference(a)
+    s = subspace(cols, a)
+    assert (dense_basis(s), s.pivots) == echelon_reference(a)
 
 
 @given(vectors(6, 4), vectors(6, 6))
-def test_row_supports_follow_extend(seed, extra):
-    s = Subspace(6, seed)
+def test_sparse_rows_stay_reduced_after_every_extend(seed, extra):
+    s = subspace(6, seed)
+    added = list(seed)
     for v in extra:
-        s.extend(v)
-        assert s._supports == [[j for j, x in enumerate(row) if x]
-                               for row in s.basis]
+        s.extend(sparse_vec(v))
+        added.append(v)
+        assert all(x for row in s.basis for x in row.values())
+        assert all(a < b for a, b in zip(s.pivots, s.pivots[1:]))
+        for row, pc in zip(s.basis, s.pivots):
+            assert row[pc] == 1
+            assert not set(row).intersection(s.pivots) - {pc}
+        assert (dense_basis(s), s.pivots) == echelon_reference(added)
 
 
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), st.data())
@@ -263,24 +278,26 @@ def test_solve_matrix_inconsistent_column_gives_none():
 
 @given(vectors(5, 4), st.data())
 def test_quotient_coordinates_equal_a_fresh_solve(zvecs, data):
-    z = Subspace(5, zvecs)
+    z = subspace(5, zvecs)
+    zb = dense_basis(z)
     pick = st.lists(st.lists(sparse_fracs, min_size=z.dim, max_size=z.dim),
                     max_size=3)
     combos = data.draw(pick)
-    b = Subspace(5, [[sum((c * v[i] for c, v in zip(cs, z.basis)), F(0))
+    b = subspace(5, [[sum((c * v[i] for c, v in zip(cs, zb)), F(0))
                       for i in range(5)] for cs in combos])
     q = Quotient(z, b)
-    assert q.reps == quotient_reps_reference(z, b)
+    reps = [dense_vec(v, 5) for v in q.reps]
+    assert reps == quotient_reps_reference(z, b)
     for cs in data.draw(pick):
-        v = [sum((c * zv[i] for c, zv in zip(cs, z.basis)), F(0))
+        v = [sum((c * zv[i] for c, zv in zip(cs, zb)), F(0))
              for i in range(5)]
-        x = solve(transpose(b.basis + q.reps), v) if z.dim else []
-        assert q.coordinates(v) == x[b.dim:]
+        x = solve(transpose(dense_basis(b) + reps), v) if z.dim else []
+        assert q.coordinates(sparse_vec(v)) == x[b.dim:]
 
 
 def test_quotient_rejects_b_outside_z():
-    z = Subspace(3, [[F(1), F(0), F(0)]])
-    b = Subspace(3, [[F(0), F(1), F(0)]])
+    z = subspace(3, [[F(1), F(0), F(0)]])
+    b = subspace(3, [[F(0), F(1), F(0)]])
     with pytest.raises(AssertionError):
         Quotient(z, b)
 

@@ -10,7 +10,7 @@ from ceformality.cecomplex import (
 )
 from ceformality.dgla import DgLieAlgebra, adjoint_module
 from ceformality.graded import GradedMap, GradedVectorSpace
-from ceformality.linalg import Q1, rank, rref, zeros
+from ceformality.linalg import rank, zeros
 from ceformality.linf import ce_linf_self, decalage
 from ceformality.problems import load_problem
 from ceformality.specseq import (
