@@ -16,7 +16,8 @@ from .dgla import (
 )
 from .formality import (
     InsufficientBounds, euler_class, formality_verdict, kaledin_class,
-    minimal_model, obstruction_sequence, transfer_criterion,
+    minimal_model, minimal_structure, obstruction_sequence,
+    transfer_criterion,
 )
 from .linf import (
     ce_linf_self, derived_brackets, linf_structure, validate_linf,
@@ -125,13 +126,6 @@ def _algebra(problem, weight):
     return problem["algebra"]
 
 
-def _minimal_of(problem, weight):
-    v = linf_structure(_algebra(problem, weight), weight)
-    if v.is_minimal():
-        return v
-    return minimal_model(v, weight)["minimal"]
-
-
 def _element(problem, key):
     if key not in problem:
         raise ProblemError(f"problem file lacks an {key!r} section")
@@ -220,7 +214,9 @@ def run(args):
         return emit(report, args.format)
 
     if cmd == "obstructions":
-        v = _minimal_of(problem, args.weight)
+        v = minimal_structure(
+            linf_structure(_algebra(problem, args.weight), args.weight),
+            args.weight)
         r_top = args.max_page if args.max_page else args.columns - 2
         res = obstruction_sequence(v, args.columns, r_top)
         report["obstructions"] = res
@@ -271,7 +267,9 @@ def run(args):
         return emit(report, args.format)
 
     if cmd == "kaledin":
-        v = _minimal_of(problem, args.weight)
+        v = minimal_structure(
+            linf_structure(_algebra(problem, args.weight), args.weight),
+            args.weight)
         res = kaledin_class(v, args.weight, args.t_order)
         report["kaledin"] = {
             "identities": res["identities"],

@@ -98,7 +98,8 @@ def obstruction_sequence(alg, l, r_max):
     satisfy l ≥ r_max + 2 so every target cell lies inside the truncation.
     """
     if not alg.is_minimal():
-        raise ValueError("obstruction sequence requires a minimal structure")
+        raise AssertionError(
+            "obstruction sequence requires a minimal structure")
     if l > alg.bound + 1:
         raise ValueError("column bound exceeds the weight bound")
     if l < r_max + 2:
@@ -125,20 +126,25 @@ def obstruction_sequence(alg, l, r_max):
             "columns": l}
 
 
-def minimal_model(alg, bound):
-    """Homotopy transfer onto H*(V, q₁), truncated at the weight bound.
-
-    The input's relations are checked first: one that fails them raises
-    ValueError naming the first failing weight and tuple.  Returns
-    {"minimal": W, "into": g: W→V, "onto": f: V→W, "contraction"}, with the
-    relations of W, both morphisms and f∘g = id checked up to the bound on
-    corestrictions, which reuse the transfer's memoized lifts.
-    """
+def check_relations(alg):
+    """Raise ValueError at the first weight and tuple where q̂² ≠ 0."""
     rep = validate_linf(alg)
     if not rep["ok"]:
         first = rep["failures"][0]
         raise ValueError(f"structure fails its relations at weight "
                          f"{first['weight']} ({first['tuple']})")
+
+
+def minimal_model(alg, bound):
+    """Homotopy transfer onto H*(V, q₁), truncated at the weight bound.
+
+    The input's relations are checked first (``check_relations``).  Returns
+    {"minimal": W, "into": g: W→V, "onto": f: V→W, "contraction"}, with the
+    relations of W, both morphisms and f∘g = id checked up to the bound on
+    corestrictions, which reuse the transfer's memoized lifts.  A minimal
+    input comes back relabelled only (i = p = id, h = 0).
+    """
+    check_relations(alg)
     con = cohomology(GradedMap(alg.space, alg.space, 1, alg.q(1).matrix))
     hspace = con.cohomology
     w_alg = LInfinityAlgebra(hspace, {}, bound)
@@ -215,6 +221,14 @@ def minimal_model(alg, bound):
     return {"minimal": w_alg, "into": g, "onto": f, "contraction": con}
 
 
+def minimal_structure(v, weight):
+    """v itself if q₁ = 0 (it is its own minimal model), else the transfer
+    onto H*(V, q₁); only the transfer checks v's relations."""
+    if v.is_minimal():
+        return v
+    return minimal_model(v, weight)["minimal"]
+
+
 def gauge_reduce(alg, bound=None):
     """Iteratively gauge away the least nonquadratic component.
 
@@ -225,7 +239,7 @@ def gauge_reduce(alg, bound=None):
     nonzero obstruction class and the verdict NotFormal.
     """
     if not alg.is_minimal():
-        raise ValueError("gauge reduction requires a minimal structure")
+        raise AssertionError("gauge reduction requires a minimal structure")
     if bound is None:
         bound = alg.bound
     current = alg
@@ -277,9 +291,11 @@ def gauge_reduce(alg, bound=None):
 
 
 def formality_verdict(obj, weight=5, columns=5):
-    """Full pipeline: shift to a truncated structure if needed, transfer to
-    the minimal model, gauge-reduce, and cross-check the verdict twice on
-    the coderivation complex of the obstruction sequence's column bound.
+    """Full pipeline: shift to a truncated structure if needed, take its
+    minimal structure (a minimal input is read directly once its relations
+    are checked; the transfer runs only when q₁ ≠ 0), gauge-reduce, and
+    cross-check the verdict twice on the coderivation complex of the
+    obstruction sequence's column bound.
 
     The obstruction sequence must agree with the gauge.  The degeneration
     of the complex's spectral sequence must agree with the paper's theorem
@@ -294,8 +310,9 @@ def formality_verdict(obj, weight=5, columns=5):
     if weight < 3 or columns < 4:
         raise InsufficientBounds("need weight >= 3 and columns >= 4")
     v_alg = linf_structure(obj, weight)
-    mm = minimal_model(v_alg, weight)
-    w_alg = mm["minimal"]
+    if v_alg.is_minimal():
+        check_relations(v_alg)
+    w_alg = minimal_structure(v_alg, weight)
     verdict = gauge_reduce(w_alg, weight)
     if verdict["verdict"] == "NotFormal" and \
             verdict["stage"] + 1 > columns:
@@ -303,22 +320,18 @@ def formality_verdict(obj, weight=5, columns=5):
             f"witness at stage {verdict['stage']} needs columns >= "
             f"{verdict['stage'] + 1}")
     obs_l = min(columns, weight + 1)
+    # r_max >= 2, since weight >= 3 and columns >= 4
     r_max = min(obs_l - 2, weight - 1)
-    obs = None
-    if r_max >= 2:
-        # a failed gauge has run the sequence already, maybe at these bounds
-        obs = verdict.get("obstructions")
-        if obs is None or (obs["columns"], obs["r_max"]) != (obs_l, r_max):
-            obs = obstruction_sequence(w_alg, obs_l, r_max)
-    if obs is not None:
-        if verdict["verdict"] == "NotFormal":
-            if obs["first_nonzero"] != verdict["stage"] - 1:
-                raise AssertionError(
-                    "gauge failure and obstruction sequence disagree")
-        else:
-            if obs["first_nonzero"] is not None:
-                raise AssertionError(
-                    "gauge success despite a nonzero obstruction")
+    # a failed gauge has run the sequence already, maybe at these bounds
+    obs = verdict.get("obstructions")
+    if obs is None or (obs["columns"], obs["r_max"]) != (obs_l, r_max):
+        obs = obstruction_sequence(w_alg, obs_l, r_max)
+    if verdict["verdict"] == "NotFormal":
+        if obs["first_nonzero"] != verdict["stage"] - 1:
+            raise AssertionError(
+                "gauge failure and obstruction sequence disagree")
+    elif obs["first_nonzero"] is not None:
+        raise AssertionError("gauge success despite a nonzero obstruction")
     ftc = ce_linf_self(w_alg, obs_l).total
     if verdict["verdict"] == "NotFormal":
         r = verdict["stage"] - 1
@@ -332,7 +345,6 @@ def formality_verdict(obj, weight=5, columns=5):
         raise AssertionError(
             "verdict disagrees with the degeneration of the spectral sequence")
     verdict["columns"] = columns
-    verdict["minimal_model"] = mm
     verdict["obstruction_check"] = obs
     return verdict
 
@@ -390,7 +402,7 @@ def kaledin_class(alg, weight, t_order):
     """Identities and coboundary test for the t-deformed structure
     q(t) = q₂ + t q₃ + t² q₄ + … mod (t^m, weight N)."""
     if not alg.is_minimal():
-        raise ValueError("requires a minimal structure")
+        raise AssertionError("requires a minimal structure")
     if t_order < 2:
         raise ValueError("t-order must be at least 2")
     n, m = weight, t_order

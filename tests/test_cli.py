@@ -453,3 +453,59 @@ def test_memory_error_is_an_engine_fault(capsys, monkeypatch):
     monkeypatch.setattr(formality, "minimal_model", exhausted)
     code, out, err = run(capsys, "formality", fx("endu.json"))
     assert (code, out, err) == (70, "", "engine fault: MemoryError: \n")
+
+
+def no_transfer(*args, **kwargs):
+    raise AssertionError("the transfer ran on a minimal input")
+
+
+@pytest.mark.parametrize("name", ["heis3.json", "linf_min.json",
+                                  "quadcone.json", "sl2.json", "sl2_bad.json",
+                                  "voronov5.json"])
+def test_formality_reads_a_minimal_input_directly(monkeypatch, name):
+    # a minimal input is its own minimal model: its golden report, or
+    # sl2_bad's failed relations, come without the transfer
+    from ceformality import formality
+    from test_reports import golden_path, run_case, serialize
+    monkeypatch.setattr(formality, "minimal_model", no_transfer)
+    with open(golden_path("formality", name), encoding="utf-8") as fh:
+        assert serialize(run_case("formality", name)) == fh.read()
+
+
+def test_formality_checks_a_minimal_linf_input(capsys, monkeypatch,
+                                               tmp_path):
+    # linf_min with u in degree 2 and q₃(s, s, t) = u: q₃ ∘ q₂ does not
+    # vanish on s⊙s⊙s⊙s, and nothing cancels it
+    from ceformality import formality
+    data = fixture_data("linf_min.json")
+    data["space"]["2"] = ["u"]
+    data["taylor"].append({"inputs": ["s", "s", "t"], "terms": [["u", "1"]]})
+    path = tmp_path / "linf_bad.json"
+    path.write_text(json.dumps(data))
+    monkeypatch.setattr(formality, "minimal_model", no_transfer)
+    code, out, err = run(capsys, "formality", str(path))
+    assert (code, out) == (1, "")
+    assert err == ("invalid input: structure fails its relations at "
+                   "weight 4 (s⊙s⊙s⊙s)\n")
+
+
+@pytest.mark.parametrize("command, message", [
+    ("formality", "gauge reduction requires a minimal structure"),
+    ("obstructions", "obstruction sequence requires a minimal structure"),
+    ("kaledin", "requires a minimal structure")])
+def test_wrong_minimality_choice_is_an_engine_fault(capsys, monkeypatch,
+                                                    command, message):
+    # the verdict commands hand the input itself to the gauge, the
+    # obstruction sequence and the kaledin class when it is minimal, so a
+    # non-minimal structure reaching them is an engine fault, not invalid
+    # input
+    from ceformality import cli, formality
+    from ceformality.linf import linf_structure
+    endu = linf_structure(load_problem(fx("endu.json"))["algebra"], 5)
+    assert not endu.is_minimal()
+    for module in (formality, cli):
+        monkeypatch.setattr(module, "minimal_structure",
+                            lambda v, weight: endu)
+    code, out, err = run(capsys, command, fx("sl2.json"))
+    assert (code, out, err) == (
+        70, "", f"engine fault: AssertionError: {message}\n")

@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ceformality import formality, specseq
 from ceformality.cli import _algebra
@@ -238,13 +239,6 @@ def test_minimal_model_morphisms_validate():
     assert validate_linf(w)["ok"]
     assert validate_linf_morphism(mm["into"])["ok"]
     assert validate_linf_morphism(mm["onto"])["ok"]
-
-
-def test_minimal_model_fixes_minimal_input():
-    alg = voronov_derived()
-    mm = minimal_model(alg, 5)
-    assert mm["minimal"].space.dim == alg.space.dim
-    assert sorted(mm["minimal"].taylor) == sorted(alg.taylor)
 
 
 # -- gauge reduction and verdicts -------------------------------------------
@@ -522,6 +516,69 @@ VORONOV = {f"voronov{n}": (lambda n=n: voronov_derived(n, n=n))
 GAUGED = {"gauged_endu": lambda: gauged("endu", 5, 2)[0],
           "gauged_quadcone": lambda: gauged("quadcone", 4, 3)[0],
           "gauged_linf_min": lambda: gauged("linf_min", 4, 2)[0]}
+
+
+def assert_own_minimal_model(v, columns):
+    """A minimal v is its own minimal model: the transfer runs along
+    i = p = id, h = 0 and returns v's degrees and q_n matrices, and
+    ``formality_verdict``, which reads v directly, equals the gauge and the
+    obstruction sequence run on the transferred W (its old path)."""
+    weight = v.bound
+    mm = minimal_model(v, weight)
+    w, con = mm["minimal"], mm["contraction"]
+    ident = [[Q1 if r == c else Q0 for c in range(v.space.dim)]
+             for r in range(v.space.dim)]
+    assert con.i.matrix == ident and con.p.matrix == ident
+    assert con.h.matrix == zeros(v.space.dim, v.space.dim)
+    assert w.space.degrees == v.space.degrees
+    assert sorted(w.taylor) == sorted(v.taylor)
+    assert all(w.taylor[n].matrix == q.matrix for n, q in v.taylor.items())
+    res = formality_verdict(v, weight, columns)
+    ref = gauge_reduce(w, weight)
+    obs_l = min(columns, weight + 1)
+    ref_obs = obstruction_sequence(w, obs_l, min(obs_l - 2, weight - 1))
+    assert (res["verdict"], res.get("stage")) == \
+        (ref["verdict"], ref.get("stage"))
+    assert [s["alpha"] for s in res["steps"]] == \
+        [s["alpha"] for s in ref["steps"]]
+    assert res["witness"] == ref["witness"]
+    assert res["obstruction_check"] == ref_obs
+    return res
+
+
+# every minimal input of this module, with the column bound of its verdict;
+# a gauge conjugate runs at columns <= weight, since at weight + 1 the
+# degeneration cross-check reads d_weight out of column 0, which needs the
+# q_{weight+1} that the truncation drops
+MINIMAL = {
+    **{name: (make, 5) for name, make in GAUGED.items()},
+    **{name: (make, int(name[-1]) + 1) for name, make in VORONOV.items()},
+    **{name: (lambda name=name: minimal_fixture(name, 5), 5)
+       for name in ("sl2", "heis3", "linf_min", "quadcone")},
+}
+
+
+def test_minimal_model_fixes_minimal_input():
+    for name, (make, columns) in MINIMAL.items():
+        v = make()
+        assert v.is_minimal(), name
+        assert_own_minimal_model(v, columns)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([("linf_min", 5), ("quadcone", 4)]),
+       st.integers(2, 3), st.data())
+def test_gauge_conjugates_are_their_own_minimal_models(base, arity, data):
+    # a conjugate by exp of a drawn degree-0 α, at columns = weight
+    alg = minimal_fixture(*base)
+    pb = alg.ctx.pb[arity]
+    amat = zeros(alg.space.dim, len(pb))
+    for c in range(len(pb)):
+        for r in range(alg.space.dim):
+            if alg.space.degrees[r] == pb.degree(c):
+                amat[r][c] = F(data.draw(st.integers(-2, 2)))
+    v, _ = exp_coderivation(alg, PowerMap(pb, alg.space, 0, amat))
+    assert assert_own_minimal_model(v, base[1])["verdict"] == "FormalUpTo"
 
 
 @pytest.mark.parametrize("make", [*GAUGED.values(), *VORONOV.values()],
