@@ -147,12 +147,6 @@ def solve_matrix(a, y):
     return x
 
 
-def solve_right(a, y):
-    """Solve X A = Y (matrix unknown on the left); None if inconsistent."""
-    xt = solve_matrix(transpose(a), transpose(y))
-    return None if xt is None else transpose(xt)
-
-
 def nullspace(a):
     """Basis of ker A as a list of vectors, from the echelon form."""
     rows = len(a)

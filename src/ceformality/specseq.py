@@ -231,15 +231,18 @@ def barcode(ftc):
     return ftc._barcode
 
 
-def degenerates_at(ftc, k, cell=None):
-    """True when d_r vanishes for all k ≤ r ≤ r_max (at one cell or all).
+def degenerates_at(ftc, k, cell=None, last=None):
+    """True when d_r vanishes for all k ≤ r ≤ last (at one cell or all),
+    where ``last`` defaults to r_max.
 
     Returns (flag, first violating (r, p, q) or None), read off the
     barcode: d_r is nonzero exactly out of the cells where a pair of gap
     r starts.
     """
     bc = barcode(ftc)
-    for r in range(k, r_max(ftc) + 1):
+    if last is None:
+        last = r_max(ftc)
+    for r in range(k, last + 1):
         sources = bc.differential_sources(r)
         if cell is not None:
             sources &= {tuple(cell)}

@@ -1,11 +1,14 @@
-"""The shift equivalence between a dg-Lie algebra and its décalage, checked
-both ways, kept as the tests' reference for ``linf.decalage``.
+"""References for the L∞ layer: the shift equivalence between a dg-Lie
+algebra and its décalage, checked both ways, and the projection of a
+homotopy transfer.
 
 ``undecalage`` inverts the shift on a structure with no q_n for n ≥ 3.
 ``decalage_conjugation`` builds the column-wise bijection between the
 coderivation complex of the décalage and the alternating-forms bicomplex
 of L, and checks on the two constructions' own blocks that it
-anticommutes with both differentials.
+anticommutes with both differentials.  ``projection`` solves, order by
+order, for the ∞-morphism f: V → W with f∘g = id that inverts the
+transfer's g: W → V, and checks both identities.
 
 This module is imported by the tests; pytest does not collect it.
 """
@@ -19,8 +22,13 @@ from ceformality.dgla import DgLieAlgebra, adjoint_module
 from ceformality.graded import (
     EXTERIOR, GradedMap, PowerBasis, PowerMap, parity_sign,
 )
-from ceformality.linalg import is_zero_mat, mat_add, mat_mul, zeros
-from ceformality.linf import ce_linf_self, decalage
+from ceformality.linalg import (
+    is_zero_mat, mat_add, mat_mul, mat_sub, solve_matrix, transpose, zeros,
+)
+from ceformality.linf import (
+    LInfinityMorphism, ce_linf_self, compose_morphisms, decalage,
+    identity_morphism, validate_linf_morphism,
+)
 from dgla_oracle import eval_tuple
 
 
@@ -92,3 +100,51 @@ def decalage_conjugation(alg_l, l, bound=None):
         if not ok:
             report["ok"] = False
     return smats, report
+
+
+def solve_right(a, y):
+    """Solve X A = Y (matrix unknown on the left); None if inconsistent."""
+    xt = solve_matrix(transpose(a), transpose(y))
+    return None if xt is None else transpose(xt)
+
+
+def projection(mm):
+    """The projection f: V → W of a transfer ``mm = minimal_model(V, N)``,
+    with f¹ = p and f∘g = id, solved order by order up to the bound N, and
+    checked to be an ∞-morphism with f∘g = id."""
+    alg, w_alg, g = mm["into"].target, mm["minimal"], mm["into"]
+    hspace, bound = w_alg.space, w_alg.bound
+    f_comps = {1: [row[:] for row in mm["contraction"].p.matrix]}
+    f = LInfinityMorphism(alg, w_alg, f_comps)
+    for n in range(2, bound + 1):
+        pb_nv = alg.ctx.pb[n]
+        pb_nw = w_alg.ctx.pb[n]
+        d_n = alg.lift(1, n)
+        y_n = zeros(hspace.dim, len(pb_nv))
+        for k in range(2, n + 1):
+            rk = w_alg.taylor.get(k)
+            if rk is None:
+                continue
+            y_n = mat_add(y_n, mat_mul(rk.matrix, f.block(k, n)))
+        for j in range(1, n):
+            if n - j + 1 in alg.taylor:
+                y_n = mat_sub(y_n, mat_mul(f.f1(j), alg.lift(n - j + 1, n)))
+        # f∘g identity at arity n pins the values on transferred tuples
+        z_n = zeros(hspace.dim, len(pb_nw))
+        for a in range(1, n):
+            z_n = mat_sub(z_n, mat_mul(f.f1(a), g.block(a, n)))
+        b_n = g.block(n, n)
+        a_cat = [da + ba for da, ba in zip(d_n, b_n)]
+        rhs_cat = [ya + za for ya, za in zip(y_n, z_n)]
+        sol = solve_right(a_cat, rhs_cat)
+        if sol is None:
+            raise AssertionError(f"no arity-{n} projection component exists")
+        f.set_component(n, sol)
+    if not validate_linf_morphism(f)["ok"]:
+        raise AssertionError("transfer produced an invalid morphism")
+    comp = compose_morphisms(f, g)
+    ident = identity_morphism(w_alg)
+    for j in range(1, bound + 1):
+        if comp.f1(j) != ident.f1(j):
+            raise AssertionError("f∘g is not the identity")
+    return f

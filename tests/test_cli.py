@@ -335,7 +335,9 @@ def end_u(k):
 
 @pytest.mark.parametrize("k, bounds, verdict", [
     (1, (), "HomotopyAbelianUpTo"),
-    (2, ("--weight", "4", "--columns", "4"), "FormalUpTo")])
+    (2, ("--weight", "4", "--columns", "4"), "FormalUpTo"),
+    (2, (), "FormalUpTo"),
+    (3, (), "FormalUpTo")])
 def test_end_u_family_verdicts(capsys, tmp_path, k, bounds, verdict):
     path = tmp_path / f"end_u{k}.json"
     path.write_text(json.dumps(end_u(k)))
@@ -453,6 +455,28 @@ def test_memory_error_is_an_engine_fault(capsys, monkeypatch):
     monkeypatch.setattr(formality, "minimal_model", exhausted)
     code, out, err = run(capsys, "formality", fx("endu.json"))
     assert (code, out, err) == (70, "", "engine fault: MemoryError: \n")
+
+
+def test_broken_contraction_is_an_engine_fault(capsys, monkeypatch):
+    # the transfer checks its contraction: with one entry of h changed,
+    # i p − 1 = d h + h d or a side condition fails before any q_n is built
+    from ceformality import dgla, formality
+    from ceformality.graded import GradedMap
+
+    def broken(d):
+        con = dgla.cohomology(d)
+        h = [row[:] for row in con.h.matrix]
+        r, c = next((r, c) for r, row in enumerate(h)
+                    for c, x in enumerate(row) if x)
+        h[r][c] += 1
+        con.h = GradedMap(con.h.source, con.h.target, con.h.degree, h)
+        return con
+
+    monkeypatch.setattr(formality, "cohomology", broken)
+    code, out, err = run(capsys, "formality", fx("endu.json"))
+    assert (code, out, err) == (
+        70, "", "engine fault: AssertionError: contraction fails its "
+        "identities\n")
 
 
 def no_transfer(*args, **kwargs):

@@ -15,6 +15,7 @@ from ceformality.dgla import adjoint_module, cohomology_lie, dgla_is_valid
 from ceformality.formality import minimal_model
 from ceformality.linf import ce_linf_self, decalage, derived_brackets
 from ceformality.problems import load_problem
+from linf_oracle import projection
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 NAMES = sorted(os.listdir(FIXTURES))
@@ -48,12 +49,13 @@ def minimal_model_matrices(v):
     mm = minimal_model(v, v.bound)
     con = mm["contraction"]
     out = {f"minimal.{k}": m for k, m in linf_matrices(mm["minimal"]).items()}
-    for side in ("into", "onto"):
-        for j, m in mm[side].components.items():
+    # f first: its solve and checks memoize values of g too
+    for side, mor in (("onto", projection(mm)), ("into", mm["into"])):
+        for j, m in mor.components.items():
             out[f"{side}.f{j}"] = m
-        # the values the transfer's checks memoized, one row per weight
+        # the values the checks memoized, one row per weight
         out[f"{side}.values"] = [list(part.values())
-                                 for value in mm[side]._values.values()
+                                 for value in mor._values.values()
                                  for part in value.values()]
     out.update({"i": con.i.matrix, "p": con.p.matrix, "h": con.h.matrix})
     return out

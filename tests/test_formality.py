@@ -26,6 +26,7 @@ from ceformality.linf import (
 from ceformality.problems import load_problem, parse_problem
 from ceformality.specseq import FilteredTotalComplex, cell_coordinates
 from dgla_oracle import identity_map
+from linf_oracle import projection
 from test_cli import end_u
 
 F = Fraction
@@ -238,7 +239,7 @@ def test_minimal_model_morphisms_validate():
     assert w.is_minimal()
     assert validate_linf(w)["ok"]
     assert validate_linf_morphism(mm["into"])["ok"]
-    assert validate_linf_morphism(mm["onto"])["ok"]
+    assert validate_linf_morphism(projection(mm))["ok"]
 
 
 # -- gauge reduction and verdicts -------------------------------------------
@@ -309,11 +310,23 @@ def test_degeneration_reads_the_trichotomy():
         assert first[0] == n - 1 and (1, -1) in bc.differential_sources(n - 1)
 
 
-@pytest.mark.parametrize("name", ["sl2", "heis3", "quadcone", "endu",
-                                  "linf_min"])
-def test_formal_fixtures_pass_the_degeneration_check(name):
-    for weight, columns in ((4, 5), (5, 6), (3, 4)):
-        res = formality_verdict(fixture_algebra(name), weight, columns)
+# every fixture at three bounds, and two gauge conjugates at columns =
+# weight + 1, where the cross-check must stop at d_{weight−1}: d_weight out
+# of column 0 needs the q_{weight+1} that the truncation drops
+DEGENERATION_CASES = {
+    **{name: (lambda name=name: fixture_algebra(name),
+              ((4, 5), (5, 6), (3, 4)))
+       for name in ("sl2", "heis3", "quadcone", "endu", "linf_min")},
+    "gauged_endu": (lambda: gauged("endu", 5, 2)[0], ((5, 6),)),
+    "gauged_quadcone": (lambda: gauged("quadcone", 4, 2)[0], ((4, 5),)),
+}
+
+
+@pytest.mark.parametrize("make, bounds", DEGENERATION_CASES.values(),
+                         ids=DEGENERATION_CASES)
+def test_formal_fixtures_pass_the_degeneration_check(make, bounds):
+    for weight, columns in bounds:
+        res = formality_verdict(make(), weight, columns)
         assert res["verdict"] == "FormalUpTo", (weight, columns)
 
 
@@ -321,12 +334,12 @@ def test_degeneration_disagreement_is_an_engine_fault(monkeypatch):
     assert formality_verdict(abelian(), 5, 5)["verdict"] == \
         "HomotopyAbelianUpTo"
     monkeypatch.setattr(formality, "degenerates_at",
-                        lambda ftc, k: (False, (k, 0, 0)))
+                        lambda ftc, k, last: (False, (k, 0, 0)))
     for obj in (sl2(), abelian()):
         with pytest.raises(AssertionError, match="degeneration"):
             formality_verdict(obj, 5, 5)
     monkeypatch.setattr(formality, "degenerates_at",
-                        lambda ftc, k: (True, None))
+                        lambda ftc, k, last: (True, None))
     with pytest.raises(AssertionError, match="degeneration"):
         formality_verdict(voronov_derived(5), 5, 5)
 
@@ -546,12 +559,9 @@ def assert_own_minimal_model(v, columns):
     return res
 
 
-# every minimal input of this module, with the column bound of its verdict;
-# a gauge conjugate runs at columns <= weight, since at weight + 1 the
-# degeneration cross-check reads d_weight out of column 0, which needs the
-# q_{weight+1} that the truncation drops
+# every minimal input of this module, with the column bound of its verdict
 MINIMAL = {
-    **{name: (make, 5) for name, make in GAUGED.items()},
+    **{name: (make, 6) for name, make in GAUGED.items()},
     **{name: (make, int(name[-1]) + 1) for name, make in VORONOV.items()},
     **{name: (lambda name=name: minimal_fixture(name, 5), 5)
        for name in ("sl2", "heis3", "linf_min", "quadcone")},

@@ -5,8 +5,9 @@ from hypothesis import given, strategies as st
 
 from ceformality.linalg import (
     Quotient, Subspace, dense_vec, identity, mat_mul, mat_vec, nullspace,
-    rank, rref, solve, solve_matrix, solve_right, sparse_vec, transpose,
+    rank, rref, solve, solve_matrix, sparse_vec, transpose,
 )
+from linf_oracle import solve_right
 from page_oracle import intersect
 
 F = Fraction

@@ -22,7 +22,7 @@ from ceformality.linf import (
 )
 from ceformality.problems import load_problem, parse_problem
 from dgla_oracle import eval_tuple
-from linf_oracle import decalage_conjugation, undecalage
+from linf_oracle import decalage_conjugation, projection, undecalage
 from page_oracle import page
 from test_cli import end_u
 from test_formality import VORONOV, gauged
@@ -397,8 +397,8 @@ def fixture_algebra(name):
     exact_bracket], ids=["quadcone", "endu", "exact_bracket"])
 def test_minimal_model_morphism_values_match_fresh(make):
     mm = minimal_model(decalage(make(), 4), 4)
-    for side in ("into", "onto"):
-        assert_matches_fresh(mm[side])
+    for mor in (mm["into"], projection(mm)):
+        assert_matches_fresh(mor)
 
 
 # -- dense references on ⊕_{n≤N} V^⊙n -------------------------------------
@@ -613,7 +613,7 @@ def test_corestriction_checks_equal_the_dense_references(make):
     if not validate_linf(alg)["ok"]:
         return
     mm = minimal_model(alg, alg.bound)
-    w, g, f = mm["minimal"], mm["into"], mm["onto"]
+    w, g, f = mm["minimal"], mm["into"], projection(mm)
     assert_same_verdict(validate_linf(w), dense_validate_linf(w))
     for mor in (g, f, compose_morphisms(g, f), compose_morphisms(f, g)):
         assert_morphism_matches_dense(mor)
@@ -680,6 +680,7 @@ def test_mutations_are_rejected_at_their_arity():
     # dense references reject each change tried at the same weight
     alg = cli_structure("endu", 4)
     mm = minimal_model(alg, alg.bound)
+    transfer = (mm["into"], projection(mm))
     rng = random.Random(23)
 
     def with_q(n, m):
@@ -697,7 +698,7 @@ def test_mutations_are_rejected_at_their_arity():
             validate_linf, dense_validate_linf,
             (with_q(n, m) for m in mutations(
                 alg.q(n).matrix, 1, alg.ctx.pb[n], alg.space, rng)), n), n
-        for mor in (identity_morphism(alg), mm["into"], mm["onto"]):
+        for mor in (identity_morphism(alg), *transfer):
             assert first_failures(
                 validate_linf_morphism, dense_validate_linf_morphism,
                 (with_f1(mor, n, m) for m in mutations(
